@@ -19,7 +19,6 @@ from .bounds import (
     raw_cq_loss_thermal,
 )
 from .channels import (
-    NoiseParams,
     lossy_thermal_channel,
     lossy_thermal_channel_pure,
     phase_diffusion,

@@ -5,12 +5,13 @@ beam-splitter dilation, never by Kraus operators), and Gaussian phase
 diffusion (entrywise damping of Fock coherences).  A quadrature evaluation
 of the diffusion integral is provided as an independent cross-check route
 for the entrywise map; tests compare the two, they must never be merged.
+That route runs on the shared adaptive engine numerics.integrate, so it has
+a panel budget and raises AccuracyError when it cannot reach its tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +25,15 @@ from .fock_core import (
     thermal_dim,
     thermal_state,
 )
-from .numerics import _NODES, _WG, _WK
+from .numerics import integrate
 
 __all__ = [
-    "NoiseParams",
     "phase_shift",
     "lossy_thermal_channel",
     "lossy_thermal_channel_pure",
     "phase_diffusion",
     "phase_diffusion_by_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Loss transmission eta, thermal occupation n_T, diffusion strength lam."""
-
-    eta: float
-    n_T: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-        if not self.n_T >= 0.0:
-            raise ValueError("n_T must be nonnegative")
-        if not self.lam >= 0.0:
-            raise ValueError("lam must be nonnegative")
 
 
 def phase_shift(rho, phi):
@@ -61,15 +44,8 @@ def phase_shift(rho, phi):
     return DensityMatrix(rho.dim, rho.elems * factors)
 
 
-def lossy_thermal_channel(rho, eta, n_T, bath_dim):
-    """Mix rho with a thermal bath on a transmission-eta beam splitter.
-
-    The bath register starts in thermal_state(n_T, bath_dim), the two-mode
-    state is conjugated by beam_splitter(arccos(sqrt(eta))), and the bath is
-    traced out.  bath_dim must at least satisfy the thermal truncation rule;
-    callers that push many probe photons into the bath should size it with
-    the extra receive capacity on top of that floor.
-    """
+def _check_loss(eta, n_T, bath_dim):
+    """Validate loss-channel inputs; a bath too short for n_T is a TruncationError."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     if n_T < 0.0:
@@ -82,6 +58,18 @@ def lossy_thermal_channel(rho, eta, n_T, bath_dim):
             f"above {1e-8:g}",
             suggested_dim=floor,
         )
+
+
+def lossy_thermal_channel(rho, eta, n_T, bath_dim):
+    """Mix rho with a thermal bath on a transmission-eta beam splitter.
+
+    The bath register starts in thermal_state(n_T, bath_dim), the two-mode
+    state is conjugated by beam_splitter(arccos(sqrt(eta))), and the bath is
+    traced out.  bath_dim must at least satisfy the thermal truncation rule;
+    callers that push many probe photons into the bath should size it with
+    the extra receive capacity on top of that floor.
+    """
+    _check_loss(eta, n_T, bath_dim)
     if eta == 1.0:
         return DensityMatrix(rho.dim, rho.elems.copy())
     theta = math.acos(math.sqrt(eta))
@@ -100,18 +88,7 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
     square.  Agrees with the dense route to roundoff; kept as a separate
     code path so the two can be checked against each other.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if n_T < 0.0:
-        raise ValueError("n_T must be nonnegative")
-    floor = thermal_dim(n_T)
-    if bath_dim < floor:
-        q = n_T / (n_T + 1.0)
-        raise TruncationError(
-            f"bath_dim={bath_dim} leaves thermal tail mass {q**bath_dim:.3e} "
-            f"above {1e-8:g}",
-            suggested_dim=floor,
-        )
+    _check_loss(eta, n_T, bath_dim)
     if eta == 1.0:
         return psi.density()
     theta = math.acos(math.sqrt(eta))
@@ -139,47 +116,36 @@ def phase_diffusion(rho, lam):
     return DensityMatrix(rho.dim, rho.elems * damp)
 
 
-def _gk15_matrix(f, a, b):
-    """Matrix-valued Gauss-Kronrod panel; error is the max-entry defect."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = [f(mid + half * t) for t in _NODES]
-    kron = half * sum(w * v for w, v in zip(_WK, vals))
-    gauss = half * sum(w * v for w, v in zip(_WG, vals))
-    return kron, float(np.max(np.abs(kron - gauss)))
-
-
-def _adaptive_matrix_quad(f, a, b, abs_tol, depth=0):
-    kron, err = _gk15_matrix(f, a, b)
-    if err <= abs_tol or depth >= 40:
-        return kron
-    mid = 0.5 * (a + b)
-    half_tol = abs_tol / 2.0
-    return _adaptive_matrix_quad(f, a, mid, half_tol, depth + 1) + _adaptive_matrix_quad(
-        f, mid, b, half_tol, depth + 1
-    )
-
-
 def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     """Phase diffusion evaluated as a Gaussian average over phase kicks.
 
     Integrates exp(-phi^2/(4 lam^2))/sqrt(4 pi lam^2) U(phi)^dag rho U(phi)
-    with adaptive quadrature to abs_tol per entry.  The kick distribution
-    has standard deviation lam*sqrt(2), so the window spans 8 of those
-    sigmas, leaving truncated Gaussian mass below 1e-14 (a [-8 lam, 8 lam]
-    window would lose 1.5e-8 of the trace).  Serves as the independent
-    oracle for the entrywise phase_diffusion map.
+    with the shared adaptive quadrature numerics.integrate, the real and
+    imaginary parts of every entry as one vector integral, until the summed
+    error estimate bounds every part by abs_tol.  The kick distribution has
+    standard deviation lam*sqrt(2), so the window spans 8 of those sigmas,
+    leaving truncated Gaussian mass below 1e-14 (a [-8 lam, 8 lam] window
+    would lose 1.5e-8 of the trace).  Raises AccuracyError when the panel
+    budget cannot reach abs_tol.  Serves as the independent oracle for the
+    entrywise phase_diffusion map.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return DensityMatrix(rho.dim, rho.elems.copy())
+    dim = rho.dim
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam**2)
+    n = np.arange(dim)
+    diff = np.subtract.outer(n, n)
 
     def integrand(phi):
-        weight = norm * math.exp(-(phi**2) / (4.0 * lam**2))
-        return weight * phase_shift(rho, -phi).elems
+        # row j: weight(phi_j) * phase_shift(rho, -phi_j).elems as (re, im) pairs
+        weight = norm * np.exp(-(phi**2) / (4.0 * lam**2))
+        kicked = rho.elems * np.exp(1j * phi[:, None, None] * diff)
+        return (weight[:, None, None] * kicked).view(float).reshape(phi.size, -1)
 
     half_width = 8.0 * math.sqrt(2.0) * lam
-    total = _adaptive_matrix_quad(integrand, -half_width, half_width, abs_tol)
-    return DensityMatrix(rho.dim, total)
+    total, _ = integrate(
+        integrand, -half_width, half_width, rel_tol=0.0, abs_tol=abs_tol
+    )
+    return DensityMatrix(dim, total.view(complex).reshape(dim, dim))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -80,13 +79,6 @@ def _float_list(text):
     if not values:
         raise UsageError("empty list: %r" % text)
     return values
-
-
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, csv_text, plot_script=None):
@@ -174,9 +166,8 @@ def cmd_fig2(args):
             r, args.eta, 0.0, args.lam, dim=oracle_dim, bath_dim=oracle_dim
         )
 
-    oracle_vals = _pmap(oracle_value, [float(r) for r in r_grid], args.threads)
     rows = []
-    for r, oracle in zip(r_grid, oracle_vals):
+    for r in r_grid:
         mean_n = math.sinh(float(r)) ** 2
         m = _squeezed_moments(mean_n)
         row = [
@@ -185,7 +176,7 @@ def cmd_fig2(args):
             im_opt_squeezed(float(r), args.eta, args.lam),
         ]
         if args.with_oracle:
-            row.append(oracle)
+            row.append(oracle_value(float(r)))
         rows.append(tuple(row))
     header = ["mean_n", "cq_min", "im_opt"]
     if args.with_oracle:
@@ -228,7 +219,7 @@ def cmd_fig3(args):
             return (flux, eta, None, None, str(exc).replace(",", ";"))
 
     pairs = [(eta, float(flux)) for eta in args.eta_list for flux in grid]
-    rows = _pmap(row, pairs, args.threads)
+    rows = [row(pair) for pair in pairs]
     csv = _csv_text(("flux_N", "eta", "mse_bound", "beta_star", "error"), rows)
     plot = None
     if args.plot:
@@ -372,12 +363,6 @@ def _add_common(parser):
         type=float,
         default=1e-8,
         help="relative tolerance for adaptive quadrature (fig3 rows)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="reserved; nothing in scope is random"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="parallel workers for row computations"
     )
     parser.add_argument(
         "--config", help="key=value file supplying defaults; flags override it"

@@ -54,6 +54,16 @@ def _check_dim(dim):
         raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
 
 
+def _check_product_dims(dim_a, dim_b):
+    """Two register dimensions whose product fits under MAX_PRODUCT_DIM."""
+    _check_dim(dim_a)
+    _check_dim(dim_b)
+    if dim_a * dim_b > MAX_PRODUCT_DIM:
+        raise TruncationError(
+            f"product dimension {dim_a * dim_b} exceeds the cap {MAX_PRODUCT_DIM}"
+        )
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Pure state on a truncated number basis; amps[k] multiplies |k>.
@@ -257,12 +267,7 @@ def beam_splitter(theta, dim_a, dim_b):
     its photon-number sector blocks, so the result is exactly unitary
     (orthogonal, the generator is real) on the truncated space.
     """
-    _check_dim(dim_a)
-    _check_dim(dim_b)
-    if dim_a * dim_b > MAX_PRODUCT_DIM:
-        raise ValueError(
-            f"product dimension {dim_a * dim_b} exceeds the cap {MAX_PRODUCT_DIM}"
-        )
+    _check_product_dims(dim_a, dim_b)
     u = np.zeros((dim_a * dim_b, dim_a * dim_b))
     for idx, block in _beam_splitter_blocks(float(theta), int(dim_a), int(dim_b)):
         u[np.ix_(idx, idx)] = block
@@ -276,12 +281,7 @@ def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
     sector by sector without materializing the full matrix, which keeps
     repeated channel applications on large product spaces cheap.
     """
-    _check_dim(dim_a)
-    _check_dim(dim_b)
-    if dim_a * dim_b > MAX_PRODUCT_DIM:
-        raise ValueError(
-            f"product dimension {dim_a * dim_b} exceeds the cap {MAX_PRODUCT_DIM}"
-        )
+    _check_product_dims(dim_a, dim_b)
     vec = np.asarray(joint_vec)
     if vec.shape != (dim_a * dim_b,):
         raise ValueError("joint_vec must have length dim_a * dim_b")

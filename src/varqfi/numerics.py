@@ -1,8 +1,11 @@
 """Shared numerical kernels: adaptive quadrature, scalar maximization, slope fits.
 
-All integrands must be vectorized (accept an ndarray of abscissae and return
-one value per abscissa); everything downstream passes numpy-ufunc-style
-callables, which keeps the panel loop cheap.
+All integrands must be vectorized: they accept an ndarray of abscissae and
+return one value per abscissa, or one row of m values per abscissa for a
+vector-valued integral (the phase-diffusion average integrates a whole
+density matrix this way).  One globally adaptive Gauss-Kronrod engine serves
+both; a vector panel's error estimate is its largest entry of
+|Kronrod - Gauss|, so the tolerance bounds every entry of the result.
 """
 
 from __future__ import annotations
@@ -81,18 +84,38 @@ _WG[1:14:2] = list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 
 
 def _gk15_panel(f, a, b):
-    """One Gauss-Kronrod panel: returns (kronrod value, |kronrod - gauss|)."""
+    """One Gauss-Kronrod panel: returns (kronrod value, error estimate).
+
+    The value is a float for a scalar integrand and a length-m array for a
+    vector one; the error estimate is |kronrod - gauss|, its largest entry
+    for a vector.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid + half * _NODES
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("integrand must return one value per abscissa")
+    if y.shape == x.shape:
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
+        kron = half * float(_WK @ y)
+        gauss = half * float(_WG @ y)
+        return kron, abs(kron - gauss)
+    if y.ndim != 2 or y.shape[0] != x.size:
+        raise ValueError("integrand must return one value or one row per abscissa")
     if not np.all(np.isfinite(y)):
         raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
-    kron = half * float(_WK @ y)
-    gauss = half * float(_WG @ y)
-    return kron, abs(kron - gauss)
+    kron = half * (_WK @ y)
+    gauss = half * (_WG @ y)
+    return kron, float(np.max(np.abs(kron - gauss)))
+
+
+def _max_abs(values):
+    return float(np.max(np.abs(values)))
+
+
+def _fsum_rows(values):
+    """math.fsum of equal-length arrays, entry by entry."""
+    return np.array([math.fsum(col.tolist()) for col in np.array(list(values)).T])
 
 
 def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
@@ -101,12 +124,16 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
     Parameters
     ----------
     f : callable
-        Vectorized integrand, finite on [a, b].
+        Vectorized integrand, finite on [a, b].  Given the 15 abscissae of a
+        panel it returns either 15 values (a scalar integral) or a (15, m)
+        array, one row per abscissa (a vector integral of length m).
     a, b : float
         Finite endpoints. a > b integrates with the usual sign flip.
     rel_tol, abs_tol : float
         Subdivision stops once the summed panel error estimate drops below
-        max(abs_tol, rel_tol*|value|).
+        max(abs_tol, rel_tol*|value|).  For a vector integral each panel's
+        error estimate is its largest entry of |Kronrod - Gauss| and |value|
+        is the largest entry of |value|.
     max_panels : int
         Subdivision cap; exceeding it raises AccuracyError carrying the
         best estimate so far.
@@ -114,8 +141,9 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
     Returns
     -------
     (value, error_estimate)
-        The error estimate is the conservative sum of per-panel
-        Kronrod-Gauss differences.
+        value is a float, or a length-m array for a vector integral.  The
+        error estimate is the conservative sum of per-panel Kronrod-Gauss
+        differences, and so bounds every entry of a vector value.
     """
     a = float(a)
     b = float(b)
@@ -129,11 +157,15 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         sign = -1.0
 
     val, err = _gk15_panel(f, a, b)
+    if isinstance(val, float):
+        size, fsum = abs, math.fsum
+    else:
+        size, fsum = _max_abs, _fsum_rows
     # heap entries: (-panel_error, tiebreak, a, b, value, error)
     heap = [(-err, 0, a, b, val, err)]
     count = 1
     total_val, total_err = val, err
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
+    while total_err > max(abs_tol, rel_tol * size(total_val)):
         if count >= max_panels:
             raise AccuracyError(
                 f"quadrature did not converge within {max_panels} panels "
@@ -151,7 +183,8 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         pm = 0.5 * (pa + pb)
         v1, e1 = _gk15_panel(f, pa, pm)
         v2, e2 = _gk15_panel(f, pm, pb)
-        total_val += v1 + v2 - pval
+        # not +=: a vector total_val may still be the first panel's array
+        total_val = total_val + (v1 + v2 - pval)
         total_err += e1 + e2 - perr
         heapq.heappush(heap, (-e1, count, pa, pm, v1, e1))
         count += 1
@@ -159,10 +192,10 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         count += 1
         if count % 512 == 0:
             # refresh the running sums to shed accumulated cancellation
-            total_val = math.fsum(item[4] for item in heap)
+            total_val = fsum(item[4] for item in heap)
             total_err = math.fsum(item[5] for item in heap)
 
-    total_val = math.fsum(item[4] for item in heap)
+    total_val = fsum(item[4] for item in heap)
     total_err = max(math.fsum(item[5] for item in heap), 0.0)
     return sign * total_val, total_err
 

@@ -188,8 +188,10 @@ def test_beam_splitter_apply_matches_matrix():
 
 
 def test_beam_splitter_product_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(TruncationError):
         beam_splitter(0.3, 100, 100)
+    with pytest.raises(TruncationError):
+        beam_splitter_apply(0.3, np.zeros(100 * 100), 100, 100)
 
 
 def test_tensor_product_and_partial_trace_roundtrip():

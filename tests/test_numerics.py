@@ -45,6 +45,20 @@ def test_integrate_vectorized_calls():
     assert all(len(s) == 1 for s in seen)
 
 
+def test_integrate_vector_valued():
+    value, err = integrate(
+        lambda x: np.column_stack([np.sin(x), np.cos(x)]), 0.0, math.pi, rel_tol=1e-13
+    )
+    assert value.shape == (2,)
+    assert np.max(np.abs(value - [2.0, 0.0])) < 1e-12
+    assert err < 1e-12
+
+
+def test_integrate_rejects_bad_integrand_shape():
+    with pytest.raises(ValueError):
+        integrate(lambda x: np.ones((x.size, 2, 2)), 0.0, 1.0)
+
+
 def test_integrate_reversed_limits_flip_sign():
     forward, _ = integrate(np.sin, 0.0, 1.0)
     backward, _ = integrate(np.sin, 1.0, 0.0)
