@@ -369,13 +369,27 @@ def _add_common(parser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that keeps its optional flags' actions by dest for --config."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}  # must exist before __init__ adds -h through add_argument
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings:
+            self.options[action.dest] = action
+        return action
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="varqfi",
         description="Variational phase-estimation bounds, their Fock-space "
         "oracle, and the waveform MSE tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p1 = sub.add_parser("fig1", help="bound vs exact information under thermal loss")
     p1.add_argument("--eta", type=float, default=0.8)
@@ -446,38 +460,36 @@ def _load_config(path):
         raise UsageError("cannot read config file: %s" % exc)
 
 
-def _flag_given(argv, action):
-    for opt in action.option_strings:
-        for tok in argv:
-            if tok == opt or tok.startswith(opt + "="):
-                return True
-    return False
+def _apply_config(path, parser, subparser, argv):
+    """Parse argv again with the config file's entries as subcommand defaults.
 
-
-def _apply_config(args, argv, subparser):
-    entries = _load_config(args.config)
-    actions = {
-        a.dest: a
-        for a in subparser._actions
-        if a.option_strings and a.dest not in ("help", "config")
+    A default applies only where its flag is absent, so explicit flags win.
+    Values are converted here, so a bad one is a UsageError naming its key.
+    """
+    entries = _load_config(path)
+    options = {
+        dest: action
+        for dest, action in subparser.options.items()
+        if dest not in ("help", "config")
     }
+    defaults = {}
     for key, raw in entries.items():
-        if key not in actions:
+        action = options.get(key)
+        if action is None:
             raise UsageError(
-                "unknown config key %r (valid: %s)" % (key, ", ".join(sorted(actions)))
+                "unknown config key %r (valid: %s)" % (key, ", ".join(sorted(options)))
             )
-        action = actions[key]
-        if _flag_given(argv, action):
-            continue
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
+        if action.nargs == 0:  # an on/off switch
+            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
             try:
-                setattr(args, key, action.type(raw))
+                defaults[key] = action.type(raw)
             except ValueError as exc:
                 raise UsageError("config key %s: %s" % (key, exc))
         else:
-            setattr(args, key, raw)
+            defaults[key] = raw
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
@@ -486,7 +498,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(args, argv, subparsers[args.command])
+            args = _apply_config(args.config, parser, subparsers[args.command], argv)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

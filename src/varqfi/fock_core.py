@@ -4,7 +4,9 @@ Single- and two-mode plumbing for the bound/oracle cross-checks: number and
 annihilation operators, squeezed vacuum and thermal states, beam-splitter
 unitaries, tensor products, partial traces, photon-number moments.  Dense
 numpy throughout; the two-mode product dimension is capped at 4096 so every
-matrix exponential stays desk-scale.
+matrix exponential stays desk-scale.  The beam splitter is exponentiated
+per photon-number sector; each sector block is built on first use, and
+beam_splitter_apply builds and applies only the sectors its input populates.
 """
 
 from __future__ import annotations
@@ -226,50 +228,59 @@ def thermal_state(n_T, dim):
     return DensityMatrix(dim, np.diag(w / w.sum()).astype(complex))
 
 
-@functools.lru_cache(maxsize=32)
-def _beam_splitter_blocks(theta, dim_a, dim_b):
-    """Per-sector orthogonal blocks of the two-mode mixer.
+class _Sectors(dict):
+    """Sector blocks of the two-mode mixer, each built on first lookup.
 
     The generator theta (a b^dag - a^dag b) conserves the total photon
     number, so on the truncated product space it is block diagonal over
     sectors of fixed total N.  Each sector block is a small real
     antisymmetric tridiagonal matrix; exponentiating the blocks one by one
     gives exactly the exponential of the full truncated generator at a tiny
-    fraction of the dense cost.  Returns (flat indices, orthogonal block)
-    pairs, both read-only.
+    fraction of the dense cost.  sectors[N] is the (flat indices,
+    orthogonal block) pair of sector N, both read-only.
     """
-    blocks = []
-    for total in range(dim_a + dim_b - 1):
-        lo = max(0, total - (dim_b - 1))
-        hi = min(total, dim_a - 1)
+
+    def __init__(self, theta, dim_a, dim_b):
+        super().__init__()
+        self.theta, self.dim_a, self.dim_b = theta, dim_a, dim_b
+
+    def __missing__(self, total):
+        lo = max(0, total - (self.dim_b - 1))
+        hi = min(total, self.dim_a - 1)
         ns = np.arange(lo, hi + 1)
-        idx = ns * dim_b + (total - ns)
+        idx = ns * self.dim_b + (total - ns)
         size = ns.size
         if size == 1:
             block = np.ones((1, 1))
         else:
             gen = np.zeros((size, size))
             n = ns[1:].astype(float)
-            coup = theta * np.sqrt(n * (total - n + 1.0))
+            coup = self.theta * np.sqrt(n * (total - n + 1.0))
             gen[np.arange(size - 1), np.arange(1, size)] = coup
             gen[np.arange(1, size), np.arange(size - 1)] = -coup
             block = scipy.linalg.expm(gen)
         idx.setflags(write=False)
         block.setflags(write=False)
-        blocks.append((idx, block))
-    return tuple(blocks)
+        self[total] = (idx, block)
+        return idx, block
+
+
+# one table per (theta, dim_a, dim_b), shared by every caller
+_sectors = functools.lru_cache(maxsize=32)(_Sectors)
 
 
 def beam_splitter(theta, dim_a, dim_b):
     """exp(theta (a b^dag - a^dag b)) on the dim_a*dim_b product space.
 
     Exponential of the anti-Hermitian truncated generator, assembled from
-    its photon-number sector blocks, so the result is exactly unitary
+    all its photon-number sector blocks, so the result is exactly unitary
     (orthogonal, the generator is real) on the truncated space.
     """
     _check_product_dims(dim_a, dim_b)
+    sectors = _sectors(float(theta), int(dim_a), int(dim_b))
     u = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    for idx, block in _beam_splitter_blocks(float(theta), int(dim_a), int(dim_b)):
+    for total in range(dim_a + dim_b - 1):
+        idx, block = sectors[total]
         u[np.ix_(idx, idx)] = block
     return u
 
@@ -278,15 +289,20 @@ def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
     """Apply the two-mode mixer to a joint pure-state vector.
 
     Same map as beam_splitter(theta, dim_a, dim_b) @ joint_vec but works
-    sector by sector without materializing the full matrix, which keeps
-    repeated channel applications on large product spaces cheap.
+    sector by sector without materializing the full matrix.  Only the
+    sectors the input populates (the totals n + m of its nonzero entries)
+    are built and applied; the mixer conserves n + m, so every other
+    sector of the output is exactly zero.
     """
     _check_product_dims(dim_a, dim_b)
     vec = np.asarray(joint_vec)
     if vec.shape != (dim_a * dim_b,):
         raise ValueError("joint_vec must have length dim_a * dim_b")
-    out = np.empty_like(vec)
-    for idx, block in _beam_splitter_blocks(float(theta), int(dim_a), int(dim_b)):
+    sectors = _sectors(float(theta), int(dim_a), int(dim_b))
+    flat = np.flatnonzero(vec)
+    out = np.zeros_like(vec)
+    for total in np.unique(flat // dim_b + flat % dim_b).tolist():
+        idx, block = sectors[total]
         out[idx] = block @ vec[idx]
     return out
 

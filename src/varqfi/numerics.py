@@ -204,14 +204,18 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8, abs_tol=0.0, max_panels=20_000):
     """Integrate f over [a, infinity) via the substitution w = a + t/(1-t).
 
     The integrand must decay at least as w**(-p) with p > 1 for the
-    transformed integral to be proper.  Returns the value; accuracy
+    transformed integral to be proper.  Like integrate, f may return one
+    value or one row of values per abscissa.  Returns the value; accuracy
     failures raise AccuracyError from the underlying finite-interval rule.
     """
 
     def transformed(t):
         t = np.asarray(t, dtype=float)
         comp = np.maximum(1.0 - t, 1e-17)
-        return np.asarray(f(a + t / comp), dtype=float) / comp**2
+        values = np.asarray(f(a + t / comp), dtype=float)
+        jac = comp**2
+        # a vector integrand's row j is scaled by abscissa j's Jacobian
+        return values / (jac if values.ndim == 1 else jac[:, None])
 
     value, _ = integrate(
         transformed, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels

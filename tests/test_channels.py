@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varqfi.channels import (
     lossy_thermal_channel,
@@ -11,6 +13,7 @@ from varqfi.channels import (
     phase_shift,
 )
 from varqfi.fock_core import (
+    FockVector,
     TruncationError,
     moments,
     squeezed_vacuum,
@@ -91,6 +94,24 @@ def test_pure_route_matches_dense_route():
     psi = squeezed_vacuum(0.5, 21)
     eta, n_T = 0.8, 0.5
     bath = thermal_dim(n_T)
+    dense = lossy_thermal_channel(psi.density(), eta, n_T, bath)
+    pure = lossy_thermal_channel_pure(psi, eta, n_T, bath)
+    assert np.max(np.abs(dense.elems - pure.elems)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    eta=st.floats(0.05, 0.99),
+    n_T=st.just(0.0) | st.floats(0.01, 0.5),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pure_route_matches_dense_route_on_random_probes(dim, eta, n_T, extra, seed):
+    # a generic random probe fills odd and even levels, so every sector is used
+    rng = np.random.default_rng(seed)
+    psi = FockVector(dim, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    bath = thermal_dim(n_T) + extra
     dense = lossy_thermal_channel(psi.density(), eta, n_T, bath)
     pure = lossy_thermal_channel_pure(psi, eta, n_T, bath)
     assert np.max(np.abs(dense.elems - pure.elems)) < 1e-12

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varqfi import fock_core
 from varqfi.fock_core import (
     DensityMatrix,
     FockVector,
@@ -185,6 +188,35 @@ def test_beam_splitter_apply_matches_matrix():
     vec = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
     u = beam_splitter(1.1, da, db)
     assert np.max(np.abs(beam_splitter_apply(1.1, vec, da, db) - u @ vec)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    da=st.integers(2, 8),
+    db=st.integers(2, 8),
+    theta=st.floats(-math.pi, math.pi),
+    sectors=st.sets(st.integers(0, 14)),
+    seed=st.integers(0, 2**32 - 1),
+    dense_first=st.booleans(),
+)
+def test_beam_splitter_apply_visits_only_populated_sectors(
+    da, db, theta, sectors, seed, dense_first
+):
+    # sectors drawn up to 14 = 8 + 8 - 2 cover none, some and all of them
+    totals = np.add.outer(np.arange(da), np.arange(db)).ravel()
+    populated = np.isin(totals, sorted(sectors))
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+    vec[~populated | (rng.random(da * db) < 0.3)] = 0.0
+    fock_core._sectors.cache_clear()  # each fill order starts cold
+    if dense_first:
+        u = beam_splitter(theta, da, db)
+        got = beam_splitter_apply(theta, vec, da, db)
+    else:
+        got = beam_splitter_apply(theta, vec, da, db)
+        u = beam_splitter(theta, da, db)
+    assert np.max(np.abs(got - u @ vec)) < 1e-12
+    assert not np.any(got[~populated])
 
 
 def test_beam_splitter_product_cap():

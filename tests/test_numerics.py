@@ -82,6 +82,18 @@ def test_semi_infinite_known_values():
     assert abs(integrate_semi_infinite(lambda x: x**-2.0, 3.0) - 1.0 / 3.0) < 1e-9
 
 
+@pytest.mark.parametrize("columns", [15, 2])
+def test_semi_infinite_vector_valued(columns):
+    # 15 columns matches the node count, where a mis-broadcast Jacobian would
+    # silently scale columns instead of rows
+    rates = np.linspace(1.0, 3.0, columns)
+    value = integrate_semi_infinite(
+        lambda x: np.exp(-np.outer(x, rates)) * rates, 0.0, rel_tol=1e-12
+    )
+    assert value.shape == (columns,)
+    assert np.max(np.abs(value - 1.0)) < 1e-10
+
+
 def test_semi_infinite_gaussian_tail():
     value = integrate_semi_infinite(lambda x: np.exp(-(x**2) / 2.0), 0.0, rel_tol=1e-10)
     assert abs(value - math.sqrt(math.pi / 2.0)) < 1e-10

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varqfi.bounds import cq_min_loss_diffusion, exact_qfi_squeezed, im_opt_squeezed
+from varqfi.bounds import (
+    cq_min_loss_diffusion,
+    exact_qfi_squeezed,
+    im_opt_squeezed,
+    phase_variance_bound_full,
+)
 from varqfi.channels import lossy_thermal_channel_pure, phase_diffusion, phase_shift
 from varqfi.fock_core import (
     DensityMatrix,
+    InputMoments,
     annihilation_operator,
     moments,
     squeezed_dim,
@@ -75,6 +83,24 @@ def test_oracle_matches_closed_form_spot():
     got = squeezed_probe_qfi(0.5, 0.8, 0.5)
     want = exact_qfi_squeezed(0.5, 0.8, 0.5)
     assert abs(got - want) < 1e-6 * want
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    r=st.floats(0.05, 0.8),
+    eta=st.floats(0.6, 0.99),
+    n_T=st.floats(0.0, 0.5),
+    lam=st.floats(0.0, 0.3),
+)
+def test_oracle_below_variance_floor_and_exact_without_diffusion(r, eta, n_T, lam):
+    mean_n = math.sinh(r) ** 2
+    m = InputMoments(mean_n, 2.0 * mean_n * (mean_n + 1.0))
+    undiffused = squeezed_probe_qfi(r, eta, n_T)
+    want = exact_qfi_squeezed(r, eta, n_T)
+    assert abs(undiffused - want) <= 1e-3 * want
+    assert undiffused <= 1.0 / phase_variance_bound_full(m, eta, n_T, 0.0) + 1e-9
+    diffused = squeezed_probe_qfi(r, eta, n_T, lam)
+    assert diffused <= 1.0 / phase_variance_bound_full(m, eta, n_T, lam) + 1e-9
 
 
 def test_oracle_monotone_in_temperature_and_diffusion():
