@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .numerics import check_eta, check_nonneg
+
 __all__ = [
     "GaussianAux",
     "cq_min_loss_thermal",
@@ -34,16 +36,6 @@ __all__ = [
 def _inv(x):
     """1/x with the conventions 1/0 = +inf and 1/inf = 0."""
     return math.inf if x == 0.0 else 1.0 / x
-
-
-def _check_eta(eta):
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-
-
-def _check_nonneg(value, name):
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -63,9 +55,9 @@ class GaussianAux:
 
     @classmethod
     def from_params(cls, r, eta, n_T=0.0):
-        _check_nonneg(r, "r")
-        _check_eta(eta)
-        _check_nonneg(n_T, "n_T")
+        check_nonneg(r, "r")
+        check_eta(eta)
+        check_nonneg(n_T, "n_T")
         u = eta * math.sinh(2.0 * r)
         v = eta * math.cosh(2.0 * r) + (1.0 - eta) * (2.0 * n_T + 1.0)
         return cls(u, v)
@@ -83,8 +75,8 @@ def cq_min_loss_thermal(m, eta, n_T):
     for any probe with the given moments.  A vacuum probe under loss
     (mean_n = 0, eta < 1) and a number eigenstate (var_n = 0) both give 0.
     """
-    _check_eta(eta)
-    _check_nonneg(n_T, "n_T")
+    check_eta(eta)
+    check_nonneg(n_T, "n_T")
     denom = _inv(m.var_n)
     if eta < 1.0:
         denom += (1.0 - eta) / eta * _thermal_rate(m.mean_n, n_T)
@@ -111,8 +103,8 @@ def cq_min_loss_diffusion(m, eta, lam):
     4 / [1/var_n + (1-eta)/(eta mean_n) + 8 lam^2].  The diffusion term
     caps the bound at 1/(2 lam^2) no matter how bright the probe is.
     """
-    _check_eta(eta)
-    _check_nonneg(lam, "lam")
+    check_eta(eta)
+    check_nonneg(lam, "lam")
     denom = _inv(m.var_n)
     if eta < 1.0:
         denom += (1.0 - eta) / eta * _thermal_rate(m.mean_n, 0.0)
@@ -128,9 +120,9 @@ def phase_variance_bound_full(m, eta, n_T, lam):
     of the reciprocal of the matching QFI bound, so at n_T = 0 it equals
     1/cq_min_loss_diffusion exactly.
     """
-    _check_eta(eta)
-    _check_nonneg(n_T, "n_T")
-    _check_nonneg(lam, "lam")
+    check_eta(eta)
+    check_nonneg(n_T, "n_T")
+    check_nonneg(lam, "lam")
     out = 0.25 * _inv(m.var_n)
     if eta < 1.0:
         out += (1.0 - eta) / (4.0 * eta) * _thermal_rate(m.mean_n, n_T)
@@ -150,7 +142,7 @@ def im_opt_squeezed(r, eta, lam):
     the denominator.  At lam = 0 it reduces to exact_qfi_squeezed(r, eta,
     0) identically.
     """
-    _check_nonneg(lam, "lam")
+    check_nonneg(lam, "lam")
     aux = GaussianAux.from_params(r, eta, 0.0)
     num = 4.0 * aux.u**2 * math.exp(-8.0 * lam**2)
     den = 1.0 + aux.v**2 + 0.5 * aux.u**2 * (1.0 - 3.0 * math.exp(-16.0 * lam**2))
@@ -164,8 +156,8 @@ def raw_cq_loss_thermal(m, eta, n_T, alpha, beta, gamma):
     s2 = sqrt(n_T).  Minimizing over (alpha, beta, gamma) reproduces
     cq_min_loss_thermal; the factor 4 keeps both on the same scale.
     """
-    _check_eta(eta)
-    _check_nonneg(n_T, "n_T")
+    check_eta(eta)
+    check_nonneg(n_T, "n_T")
     c1 = math.sqrt(eta)
     s1 = math.sqrt(1.0 - eta)
     c2 = math.sqrt(n_T + 1.0)
@@ -185,8 +177,8 @@ def raw_cq_loss_diffusion(m, eta, lam, alpha, beta):
     cq_min_loss_diffusion.  At lam = 0 the last term is 0 for beta = 0 and
     +inf otherwise: an undiffused phase reference tolerates no beta.
     """
-    _check_eta(eta)
-    _check_nonneg(lam, "lam")
+    check_eta(eta)
+    check_nonneg(lam, "lam")
     out = 4.0 * m.var_n * (eta + alpha * (1.0 - eta) - beta) ** 2
     out += 4.0 * m.mean_n * (1.0 - alpha) ** 2 * eta * (1.0 - eta)
     if lam == 0.0:

@@ -25,7 +25,7 @@ from .fock_core import (
     thermal_dim,
     thermal_state,
 )
-from .numerics import integrate
+from .numerics import check_eta, check_nonneg, integrate
 
 __all__ = [
     "phase_shift",
@@ -46,11 +46,8 @@ def phase_shift(rho, phi):
 
 def _check_loss(eta, n_T, bath_dim):
     """Validate loss-channel inputs; a bath too short for n_T is a TruncationError."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if n_T < 0.0:
-        raise ValueError("n_T must be nonnegative")
-    floor = thermal_dim(n_T)
+    check_eta(eta)
+    floor = thermal_dim(n_T)  # rejects a negative or NaN n_T
     if bath_dim < floor:
         q = n_T / (n_T + 1.0)
         raise TruncationError(
@@ -109,8 +106,7 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
 
 def phase_diffusion(rho, lam):
     """Gaussian dephasing: rho_lk -> exp(-lam^2 (l-k)^2) rho_lk."""
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    check_nonneg(lam, "lam")
     k = np.arange(rho.dim)
     damp = np.exp(-(lam**2) * np.subtract.outer(k, k) ** 2)
     return DensityMatrix(rho.dim, rho.elems * damp)
@@ -129,8 +125,7 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     budget cannot reach abs_tol.  Serves as the independent oracle for the
     entrywise phase_diffusion map.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    check_nonneg(lam, "lam")
     if lam == 0.0:
         return DensityMatrix(rho.dim, rho.elems.copy())
     dim = rho.dim

@@ -26,9 +26,9 @@ from .bounds import (
     phase_variance_bound_full,
 )
 from .fock_core import InputMoments, TruncationError, squeezed_dim, thermal_dim
-from .numerics import AccuracyError, OptimizationError
+from .numerics import AccuracyError, OptimizationError, check_eta
 from .qfi_oracle import squeezed_probe_qfi
-from .waveform import OpoSpectrumModel, PriorSpectrum, mse_bound_optimized
+from .waveform import fig3_curve
 
 __all__ = ["main"]
 
@@ -205,21 +205,16 @@ def cmd_fig2(args):
 
 def cmd_fig3(args):
     grid = _log_grid(args.n_min, args.n_max, args.n_points)
-    prior = PriorSpectrum(kappa=1.0, p=2.0, lambda_c=1.0)
-
-    def row(pair):
-        eta, flux = pair
-        try:
-            model = OpoSpectrumModel(16.0 * flux ** (1.0 / 3.0), flux)
-            beta_star, bound, _flat = mse_bound_optimized(
-                prior, model, eta, rel_tol=args.tol_rel
-            )
-            return (flux, eta, bound, beta_star, "")
-        except (AccuracyError, OptimizationError, ValueError) as exc:
-            return (flux, eta, None, None, str(exc).replace(",", ";"))
-
-    pairs = [(eta, float(flux)) for eta in args.eta_list for flux in grid]
-    rows = [row(pair) for pair in pairs]
+    for eta in args.eta_list:
+        check_eta(eta)
+    rows = []
+    for eta in args.eta_list:
+        for flux in grid:
+            try:
+                (row,) = fig3_curve(eta, [flux], rel_tol=args.tol_rel)
+                rows.append((row.flux_N, eta, row.bound, row.beta_star, ""))
+            except (AccuracyError, OptimizationError, ValueError) as exc:
+                rows.append((float(flux), eta, None, None, str(exc).replace(",", ";")))
     csv = _csv_text(("flux_N", "eta", "mse_bound", "beta_star", "error"), rows)
     plot = None
     if args.plot:
@@ -271,21 +266,29 @@ _BOUND_TABLE = {
 }
 
 
-def _parse_pairs(tokens, allowed):
-    values = {}
+def _parse_params(tokens, fields, command):
+    """key=value tokens as floats, keyed as fields, with defaults filled in.
+
+    fields holds ordered (key, default) pairs; a None default marks a key
+    the command cannot run without.
+    """
+    params = dict(fields)
     for tok in tokens:
         if "=" not in tok:
             raise UsageError("expected key=value, got %r" % tok)
         key, _, raw = tok.partition("=")
-        if key not in allowed:
+        if key not in params:
             raise UsageError(
-                "unknown parameter %r (valid: %s)" % (key, ", ".join(sorted(allowed)))
+                "unknown parameter %r (valid: %s)" % (key, ", ".join(sorted(params)))
             )
         try:
-            values[key] = float(raw)
+            params[key] = float(raw)
         except ValueError:
             raise UsageError("parameter %s needs a number, got %r" % (key, raw))
-    return values
+    for key, value in params.items():
+        if value is None:
+            raise UsageError("%s requires %s=..." % (command, key))
+    return params
 
 
 def cmd_bound(args):
@@ -295,15 +298,7 @@ def cmd_bound(args):
             % (args.name, ", ".join(sorted(_BOUND_TABLE)))
         )
     fields, evaluate = _BOUND_TABLE[args.name]
-    given = _parse_pairs(args.params, {key for key, _ in fields})
-    params = {}
-    for key, default in fields:
-        if key in given:
-            params[key] = given[key]
-        elif default is None:
-            raise UsageError("bound %s requires %s=..." % (args.name, key))
-        else:
-            params[key] = default
+    params = _parse_params(args.params, fields, "bound " + args.name)
     value = evaluate(params)
     inputs = " ".join("%s=%s" % (key, _fmt(params[key])) for key, _ in fields)
     line = "%s %s value=%s\n" % (args.name, inputs, _fmt(value))
@@ -319,15 +314,7 @@ def cmd_oracle(args):
         ("dim", -1.0),
         ("bath_dim", -1.0),
     )
-    given = _parse_pairs(args.params, {key for key, _ in fields})
-    params = {}
-    for key, default in fields:
-        if key in given:
-            params[key] = given[key]
-        elif default is None:
-            raise UsageError("oracle requires %s=..." % key)
-        else:
-            params[key] = default
+    params = _parse_params(args.params, fields, "oracle")
     dim = int(params["dim"])
     if dim < 0:
         dim = squeezed_dim(params["r"]) + thermal_dim(params["nT"]) - 1
@@ -357,12 +344,6 @@ def _add_common(parser):
     parser.add_argument("--out", help="write CSV/report to this file instead of stdout")
     parser.add_argument(
         "--plot", help="also write a gnuplot script referencing the CSV (needs --out)"
-    )
-    parser.add_argument(
-        "--tol-rel",
-        type=float,
-        default=1e-8,
-        help="relative tolerance for adaptive quadrature (fig3 rows)",
     )
     parser.add_argument(
         "--config", help="key=value file supplying defaults; flags override it"
@@ -424,6 +405,10 @@ def build_parser():
     p3.add_argument("--n-min", type=float, default=1e2)
     p3.add_argument("--n-max", type=float, default=1e8)
     p3.add_argument("--n-points", type=int, default=25)
+    p3.add_argument(
+        "--tol-rel", type=float, default=1e-8,
+        help="relative tolerance of the adaptive quadrature behind each row",
+    )
     _add_common(p3)
     p3.set_defaults(func=cmd_fig3)
 

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+from .numerics import check_nonneg
 
 __all__ = [
     "MAX_PRODUCT_DIM",
@@ -105,14 +106,15 @@ class DensityMatrix:
         elems = np.asarray(self.elems, dtype=complex)
         if elems.shape != (self.dim, self.dim):
             raise ValueError("elems must be a dim x dim matrix")
+        # each test is written so that a NaN fails it
         herm_defect = float(np.max(np.abs(elems - elems.conj().T)))
-        if herm_defect > 1e-10:
+        if not herm_defect <= 1e-10:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_defect:.3e}")
         tr = complex(np.trace(elems))
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond 1e-8")
         low = float(np.linalg.eigvalsh(elems).min())
-        if low < -1e-8:
+        if not low >= -1e-8:
             raise ValueError(f"negative eigenvalue {low:.3e} beyond -1e-8")
         elems = elems.copy()
         elems.setflags(write=False)
@@ -161,8 +163,7 @@ def _squeezed_population_iter(r):
 
 def squeezed_dim(r, tail_mass=TAIL_MASS, max_dim=MAX_PRODUCT_DIM):
     """Smallest dim holding all but tail_mass of the squeezed vacuum."""
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    check_nonneg(r, "r")
     if r == 0:
         return 2
     cum = 0.0
@@ -185,8 +186,7 @@ def squeezed_vacuum(r, dim):
     blind to it).  Raises TruncationError when the discarded probability
     mass exceeds the truncation rule, suggesting an adequate dim.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    check_nonneg(r, "r")
     _check_dim(dim)
     amps = np.zeros(dim, dtype=complex)
     amp = 1.0 / math.sqrt(math.cosh(r))
@@ -210,8 +210,7 @@ def squeezed_vacuum(r, dim):
 
 def thermal_dim(n_T, tail_mass=TAIL_MASS):
     """Smallest dim whose geometric tail mass is at most tail_mass."""
-    if n_T < 0:
-        raise ValueError("thermal occupation must be nonnegative")
+    check_nonneg(n_T, "n_T")
     if n_T == 0:
         return 2
     q = n_T / (n_T + 1.0)
@@ -220,8 +219,7 @@ def thermal_dim(n_T, tail_mass=TAIL_MASS):
 
 def thermal_state(n_T, dim):
     """Thermal (geometric) diagonal state renormalized on the truncated basis."""
-    if n_T < 0:
-        raise ValueError("thermal occupation must be nonnegative")
+    check_nonneg(n_T, "n_T")
     _check_dim(dim)
     q = n_T / (n_T + 1.0)
     w = q ** np.arange(dim, dtype=float)
@@ -258,6 +256,8 @@ class _Sectors(dict):
             coup = self.theta * np.sqrt(n * (total - n + 1.0))
             gen[np.arange(size - 1), np.arange(1, size)] = coup
             gen[np.arange(1, size), np.arange(size - 1)] = -coup
+            import scipy.linalg  # here, so commands without the oracle never load scipy
+
             block = scipy.linalg.expm(gen)
         idx.setflags(write=False)
         block.setflags(write=False)

@@ -1,5 +1,9 @@
 """Shared numerical kernels: adaptive quadrature, scalar maximization, slope fits.
 
+The checks on eta, n_T, lam and r live here too, in a module both the
+closed-form route and the Fock oracle import, so the two routes accept the
+same inputs without sharing any formula.
+
 All integrands must be vectorized: they accept an ndarray of abscissae and
 return one value per abscissa, or one row of m values per abscissa for a
 vector-valued integral (the phase-diffusion average integrates a whole
@@ -20,6 +24,8 @@ __all__ = [
     "AccuracyError",
     "OptimizationError",
     "ScalarMax",
+    "check_eta",
+    "check_nonneg",
     "integrate",
     "integrate_semi_infinite",
     "maximize_scalar",
@@ -47,6 +53,18 @@ class OptimizationError(RuntimeError):
         super().__init__(message)
         self.best_x = best_x
         self.best_value = best_value
+
+
+def check_eta(eta):
+    """Reject a transmission outside (0, 1], NaN included."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
+
+
+def check_nonneg(value, name):
+    """Reject a negative or NaN value of the parameter called name."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative")
 
 
 # 15-point Kronrod rule with its embedded 7-point Gauss rule on [-1, 1].

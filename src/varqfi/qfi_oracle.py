@@ -10,7 +10,6 @@ bounds are validated against, so nothing here shares code with them.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .channels import lossy_thermal_channel_pure, phase_diffusion
 from .fock_core import squeezed_dim, squeezed_vacuum, thermal_dim
@@ -99,6 +98,8 @@ def minimize_raw_cq(raw_cq, start, max_iter=10_000):
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("start must be a nonempty 1-d parameter vector")
 
+    import scipy.optimize  # here, so only callers of the minimizer load scipy
+
     def f(x):
         return float(raw_cq(*x))
 
@@ -158,10 +159,7 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     if bath_dim is None:
         bath_dim = dim
     psi = squeezed_vacuum(r, dim)
-    if eta == 1.0:
-        rho = psi.density()
-    else:
-        rho = lossy_thermal_channel_pure(psi, eta, n_T, bath_dim)
-    if lam > 0.0:
+    rho = lossy_thermal_channel_pure(psi, eta, n_T, bath_dim)
+    if lam != 0.0:
         rho = phase_diffusion(rho, lam)
     return qfi_phase_covariant(rho)

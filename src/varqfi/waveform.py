@@ -16,7 +16,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import integrate, integrate_semi_infinite, maximize_scalar
+from .numerics import (
+    check_eta,
+    check_nonneg,
+    integrate,
+    integrate_semi_infinite,
+    maximize_scalar,
+)
 
 __all__ = [
     "PriorSpectrum",
@@ -54,8 +60,7 @@ class PriorSpectrum:
             raise ValueError("kappa must be positive")
         if not self.p > 1.0:
             raise ValueError("p must exceed 1")
-        if self.lambda_c < 0.0:
-            raise ValueError("lambda_c must be nonnegative")
+        check_nonneg(self.lambda_c, "lambda_c")
         if self.lambda_c > 0.0 and self.p != 2.0:
             raise ValueError("a Lorentzian prior (lambda_c > 0) requires p = 2")
 
@@ -127,8 +132,7 @@ class SpectralCqParams:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+        check_eta(self.eta)
 
 
 def sigma_tilde(omega, model):
@@ -222,6 +226,7 @@ def mse_bound_optimized(prior, model, eta, rel_tol=1e-10):
     eta/(eta-1)).  At eta = 1 the cost is beta-independent, so the bound
     is evaluated once at beta = 1 and flagged flat by convention.
     """
+    check_eta(eta)
     if eta == 1.0:
         value = mse_bound(prior, model, SpectralCqParams(1.0, 1.0), rel_tol=rel_tol)
         return OptimizedBound(1.0, value, True)
@@ -252,8 +257,7 @@ def scaling_construction_D(flux_N, mu, eta, kappa, p):
         raise ValueError("mu must be positive")
     if not flux_N > 0.0:
         raise ValueError("flux_N must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    check_eta(eta)
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     if not p > 1.0:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +98,20 @@ def test_exit_code_numerical_failure(capsys):
 def test_exit_code_invalid_physics(capsys):
     code, _, err = _run(capsys, "oracle", "r=0.5", "eta=1.5")
     assert code == 2
+    # NaN and negative inputs are refused before any truncation loop runs
+    for argv, name in (
+        (("oracle", "r=nan"), "r"),
+        (("oracle", "r=0.5", "eta=0.8", "lambda=-0.1"), "lam"),
+        (("oracle", "r=0.5", "nT=nan"), "n_T"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "usage error: %s must be nonnegative" % name in err
+    # an out-of-range transmission in the fig3 list is misuse, not a CSV row
+    for etas in ("nan", "1.5", "1.0,0"):
+        code, out, err = _run(capsys, "fig3", "--eta-list", etas, "--n-points", "2")
+        assert (code, out) == (2, "")
+        assert "usage error: eta must lie in (0, 1]" in err
 
 
 def test_fig1_csv_properties(tmp_path, capsys):
@@ -259,6 +275,13 @@ def test_config_errors(tmp_path, capsys):
     cfg.write_text("no equals sign here\n")
     assert _run(capsys, "fig1", "--config", str(cfg))[0] == 2
 
+    # --tol-rel belongs to fig3 alone, the one command that reads it
+    cfg.write_text("tol-rel = 1e-6\n")
+    for command in ("fig1", "fig2", "oracle"):
+        code, _, err = _run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key 'tol_rel'" in err
+
 
 def test_csv_determinism(tmp_path, capsys):
     paths = [tmp_path / name for name in ("a.csv", "b.csv")]
@@ -277,3 +300,20 @@ def test_stdout_when_no_out(capsys):
     lines = out.splitlines()
     assert lines[0] == "flux_N,eta,mse_bound,beta_star,error"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import varqfi.cli",
+        "varqfi.cli.main(['bound', 'eq16', 'mean_n=2', 'var_n=12', 'eta=0.5'])",
+        "varqfi.cli.main(['fig1', '--n-points', '2'])",
+    ],
+)
+def test_light_commands_never_load_scipy(statement):
+    # only the oracle's sector blocks and the raw-cost minimizer need scipy
+    code = "import sys, varqfi.cli\n%s\nassert 'scipy' not in sys.modules" % statement
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

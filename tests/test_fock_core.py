@@ -50,6 +50,8 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValueError):
         DensityMatrix(2, np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError):
+        DensityMatrix(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))  # a NaN element
 
 
 def test_number_operator():

@@ -1,0 +1,110 @@
+"""Every public entry point rejects a bad eta, n_T, lam or r the same way.
+
+Both routes, the closed forms and the Fock oracle, must refuse the same
+inputs, NaN included, with a plain ValueError raised before any work is
+done.  TruncationError subclasses ValueError, so the check is on the exact
+type: a NaN that slips into a truncation loop and fails there does not pass.
+"""
+
+import math
+
+import pytest
+
+from varqfi.bounds import (
+    GaussianAux,
+    cq_min_loss_diffusion,
+    cq_min_loss_thermal,
+    cq_min_loss_zero_T,
+    exact_qfi_squeezed,
+    im_opt_squeezed,
+    phase_variance_bound_full,
+    raw_cq_loss_diffusion,
+    raw_cq_loss_thermal,
+)
+from varqfi.channels import (
+    lossy_thermal_channel,
+    lossy_thermal_channel_pure,
+    phase_diffusion,
+    phase_diffusion_by_quadrature,
+)
+from varqfi.fock_core import (
+    InputMoments,
+    squeezed_dim,
+    squeezed_vacuum,
+    thermal_dim,
+    thermal_state,
+)
+from varqfi.qfi_oracle import squeezed_probe_qfi
+from varqfi.waveform import (
+    OpoSpectrumModel,
+    PriorSpectrum,
+    SpectralCqParams,
+    fig3_curve,
+    mse_bound_optimized,
+    scaling_construction_D,
+)
+
+M = InputMoments(1.0, 4.0)
+PSI = squeezed_vacuum(0.2, 12)
+RHO = PSI.density()
+PRIOR = PriorSpectrum(1.0, 2.0, 1.0)
+MODEL = OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
+
+# (entry point:parameter, kind of parameter, the call with it set to x)
+ENTRY_POINTS = [
+    ("GaussianAux:r", "nonneg", lambda x: GaussianAux.from_params(x, 0.8)),
+    ("GaussianAux:eta", "eta", lambda x: GaussianAux.from_params(0.5, x)),
+    ("GaussianAux:n_T", "nonneg", lambda x: GaussianAux.from_params(0.5, 0.8, x)),
+    ("eq15:eta", "eta", lambda x: cq_min_loss_thermal(M, x, 0.5)),
+    ("eq15:n_T", "nonneg", lambda x: cq_min_loss_thermal(M, 0.8, x)),
+    ("eq16:eta", "eta", lambda x: cq_min_loss_zero_T(M, x)),
+    ("eq17:r", "nonneg", lambda x: exact_qfi_squeezed(x, 0.8, 0.5)),
+    ("eq17:eta", "eta", lambda x: exact_qfi_squeezed(0.5, x, 0.5)),
+    ("eq17:n_T", "nonneg", lambda x: exact_qfi_squeezed(0.5, 0.8, x)),
+    ("eq21:eta", "eta", lambda x: cq_min_loss_diffusion(M, x, 0.1)),
+    ("eq21:lam", "nonneg", lambda x: cq_min_loss_diffusion(M, 0.8, x)),
+    ("eq22:eta", "eta", lambda x: phase_variance_bound_full(M, x, 0.5, 0.1)),
+    ("eq22:n_T", "nonneg", lambda x: phase_variance_bound_full(M, 0.8, x, 0.1)),
+    ("eq22:lam", "nonneg", lambda x: phase_variance_bound_full(M, 0.8, 0.5, x)),
+    ("eq25:r", "nonneg", lambda x: im_opt_squeezed(x, 0.8, 0.1)),
+    ("eq25:eta", "eta", lambda x: im_opt_squeezed(0.5, x, 0.1)),
+    ("eq25:lam", "nonneg", lambda x: im_opt_squeezed(0.5, 0.8, x)),
+    ("raw_thermal:eta", "eta", lambda x: raw_cq_loss_thermal(M, x, 0.5, 0, 0, 0)),
+    ("raw_thermal:n_T", "nonneg", lambda x: raw_cq_loss_thermal(M, 0.8, x, 0, 0, 0)),
+    ("raw_diffusion:eta", "eta", lambda x: raw_cq_loss_diffusion(M, x, 0.1, 0, 0)),
+    ("raw_diffusion:lam", "nonneg", lambda x: raw_cq_loss_diffusion(M, 0.8, x, 0, 0)),
+    ("loss_dense:eta", "eta", lambda x: lossy_thermal_channel(RHO, x, 0.0, 12)),
+    ("loss_dense:n_T", "nonneg", lambda x: lossy_thermal_channel(RHO, 0.8, x, 12)),
+    ("loss_pure:eta", "eta", lambda x: lossy_thermal_channel_pure(PSI, x, 0.0, 12)),
+    ("loss_pure:n_T", "nonneg", lambda x: lossy_thermal_channel_pure(PSI, 0.8, x, 12)),
+    ("phase_diffusion:lam", "nonneg", lambda x: phase_diffusion(RHO, x)),
+    ("diffusion_quad:lam", "nonneg", lambda x: phase_diffusion_by_quadrature(RHO, x)),
+    ("squeezed_dim:r", "nonneg", lambda x: squeezed_dim(x)),
+    ("squeezed_vacuum:r", "nonneg", lambda x: squeezed_vacuum(x, 12)),
+    ("thermal_dim:n_T", "nonneg", lambda x: thermal_dim(x)),
+    ("thermal_state:n_T", "nonneg", lambda x: thermal_state(x, 12)),
+    ("oracle:r", "nonneg", lambda x: squeezed_probe_qfi(x, 0.8)),
+    ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
+    ("oracle:n_T", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
+    ("oracle:lam", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
+    ("PriorSpectrum:lambda_c", "nonneg", lambda x: PriorSpectrum(1.0, 2.0, x)),
+    ("SpectralCqParams:eta", "eta", lambda x: SpectralCqParams(x, 0.5)),
+    ("mse_bound_optimized:eta", "eta", lambda x: mse_bound_optimized(PRIOR, MODEL, x)),
+    ("scaling_D:eta", "eta", lambda x: scaling_construction_D(1e4, 1e3, x, 1.0, 2.0)),
+    ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
+]
+
+BAD_VALUES = {"nonneg": (math.nan, -0.1), "eta": (math.nan, -0.1, 0.0, 1.5)}
+
+CASES = [
+    pytest.param(call, value, id="%s=%r" % (name, value))
+    for name, kind, call in ENTRY_POINTS
+    for value in BAD_VALUES[kind]
+]
+
+
+@pytest.mark.parametrize("call, value", CASES)
+def test_entry_point_rejects_bad_parameter(call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError, repr(info.value)
