@@ -53,6 +53,7 @@ from .numerics import (
 from .qfi_oracle import (
     classical_fisher_error_propagation,
     minimize_raw_cq,
+    oracle_dim,
     qfi_phase_covariant,
     squeezed_probe_qfi,
 )

@@ -7,6 +7,10 @@ of the diffusion integral is provided as an independent cross-check route
 for the entrywise map; tests compare the two, they must never be merged.
 That route runs on the shared adaptive engine numerics.integrate, so it has
 a panel budget and raises AccuracyError when it cannot reach its tolerance.
+Each kick costs one exponential per level, the factor of entry (l, k) being
+the outer product exp(i phi l) exp(-i phi k), and only the upper triangle is
+integrated; the lower one is its conjugate, so the result is exactly
+Hermitian.
 """
 
 from __future__ import annotations
@@ -116,9 +120,16 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     """Phase diffusion evaluated as a Gaussian average over phase kicks.
 
     Integrates exp(-phi^2/(4 lam^2))/sqrt(4 pi lam^2) U(phi)^dag rho U(phi)
-    with the shared adaptive quadrature numerics.integrate, the real and
-    imaginary parts of every entry as one vector integral, until the summed
-    error estimate bounds every part by abs_tol.  The kick distribution has
+    with the shared adaptive quadrature numerics.integrate, until the summed
+    error estimate bounds every part by abs_tol.  At each abscissa the kick
+    U(phi) = exp(-i phi n) takes one exponential per level, e = exp(i phi n),
+    and entry (l, k) is multiplied by the outer-product factor e_l conj(e_k)
+    (exactly 1 on the diagonal, as in phase_shift).  Only the upper triangle
+    k >= l is integrated, real and imaginary parts as one vector integral,
+    and the lower triangle is its conjugate, so the output is exactly
+    Hermitian; rho is read from its upper triangle and the real part of its
+    diagonal.  Mirrored entries have equal magnitudes, so the engine
+    subdivides as it would for the whole matrix.  The kick distribution has
     standard deviation lam*sqrt(2), so the window spans 8 of those sigmas,
     leaving truncated Gaussian mass below 1e-14 (a [-8 lam, 8 lam] window
     would lose 1.5e-8 of the trace).  Raises AccuracyError when the panel
@@ -131,16 +142,26 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     dim = rho.dim
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam**2)
     n = np.arange(dim)
-    diff = np.subtract.outer(n, n)
+    rows, cols = np.triu_indices(dim)
+    on_diagonal = rows == cols
+    upper = rho.elems[rows, cols]
+    upper[on_diagonal] = upper[on_diagonal].real
 
     def integrand(phi):
-        # row j: weight(phi_j) * phase_shift(rho, -phi_j).elems as (re, im) pairs
+        # row j: weight(phi_j) * phase_shift(rho, -phi_j).elems, upper
+        # triangle as (re, im) pairs; the weight rides on the row factor
         weight = norm * np.exp(-(phi**2) / (4.0 * lam**2))
-        kicked = rho.elems * np.exp(1j * phi[:, None, None] * diff)
-        return (weight[:, None, None] * kicked).view(float).reshape(phi.size, -1)
+        e = np.exp(1j * np.multiply.outer(phi, n))
+        factors = np.take(weight[:, None] * e, rows, axis=1)
+        factors *= np.take(e.conj(), cols, axis=1)
+        factors[:, on_diagonal] = weight[:, None]
+        return (upper * factors).view(float)
 
     half_width = 8.0 * math.sqrt(2.0) * lam
     total, _ = integrate(
         integrand, -half_width, half_width, rel_tol=0.0, abs_tol=abs_tol
     )
-    return DensityMatrix(dim, total.view(complex).reshape(dim, dim))
+    out = np.empty((dim, dim), dtype=complex)
+    out[cols, rows] = total.view(complex).conj()
+    out[rows, cols] = total.view(complex)
+    return DensityMatrix(dim, out)

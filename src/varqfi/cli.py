@@ -25,9 +25,9 @@ from .bounds import (
     im_opt_squeezed,
     phase_variance_bound_full,
 )
-from .fock_core import InputMoments, TruncationError, squeezed_dim, thermal_dim
+from .fock_core import InputMoments, TruncationError
 from .numerics import AccuracyError, OptimizationError, check_eta
-from .qfi_oracle import squeezed_probe_qfi
+from .qfi_oracle import oracle_dim, squeezed_probe_qfi
 from .waveform import fig3_curve
 
 __all__ = ["main"]
@@ -157,14 +157,12 @@ def cmd_fig2(args):
     r_grid = _lin_grid(args.r_min, args.r_max, args.r_points)
     if args.r_min < 0.0:
         raise UsageError("squeezing grid must be nonnegative")
-    oracle_dim = squeezed_dim(ORACLE_R_MAX) + thermal_dim(0.0) - 1
+    dim = oracle_dim(ORACLE_R_MAX, 0.0)
 
     def oracle_value(r):
         if not args.with_oracle or r > ORACLE_R_MAX:
             return None
-        return squeezed_probe_qfi(
-            r, args.eta, 0.0, args.lam, dim=oracle_dim, bath_dim=oracle_dim
-        )
+        return squeezed_probe_qfi(r, args.eta, 0.0, args.lam, dim=dim, bath_dim=dim)
 
     rows = []
     for r in r_grid:
@@ -207,6 +205,8 @@ def cmd_fig3(args):
     grid = _log_grid(args.n_min, args.n_max, args.n_points)
     for eta in args.eta_list:
         check_eta(eta)
+    if not 0.0 < args.tol_rel < 1.0:  # NaN fails too; inf is not below 1
+        raise UsageError("--tol-rel must lie in (0, 1)")
     rows = []
     for eta in args.eta_list:
         for flux in grid:
@@ -266,11 +266,12 @@ _BOUND_TABLE = {
 }
 
 
-def _parse_params(tokens, fields, command):
+def _parse_params(tokens, fields, command, counts=()):
     """key=value tokens as floats, keyed as fields, with defaults filled in.
 
     fields holds ordered (key, default) pairs; a None default marks a key
-    the command cannot run without.
+    the command cannot run without.  Keys named in counts take nonnegative
+    integers instead of floats.
     """
     params = dict(fields)
     for tok in tokens:
@@ -281,6 +282,13 @@ def _parse_params(tokens, fields, command):
             raise UsageError(
                 "unknown parameter %r (valid: %s)" % (key, ", ".join(sorted(params)))
             )
+        if key in counts:
+            if not raw.isdecimal():  # no sign, point, exponent or nan
+                raise UsageError(
+                    "parameter %s needs a nonnegative integer, got %r" % (key, raw)
+                )
+            params[key] = int(raw)
+            continue
         try:
             params[key] = float(raw)
         except ValueError:
@@ -305,21 +313,25 @@ def cmd_bound(args):
     return _emit(args, line)
 
 
+# default of an oracle size key: size it automatically (a given size is >= 0)
+_AUTO = -1
+
+
 def cmd_oracle(args):
     fields = (
         ("r", None),
         ("eta", 1.0),
         ("nT", 0.0),
         ("lambda", 0.0),
-        ("dim", -1.0),
-        ("bath_dim", -1.0),
+        ("dim", _AUTO),
+        ("bath_dim", _AUTO),
     )
-    params = _parse_params(args.params, fields, "oracle")
-    dim = int(params["dim"])
-    if dim < 0:
-        dim = squeezed_dim(params["r"]) + thermal_dim(params["nT"]) - 1
-    bath_dim = int(params["bath_dim"])
-    if bath_dim < 0:
+    params = _parse_params(args.params, fields, "oracle", counts=("dim", "bath_dim"))
+    dim = params["dim"]
+    if dim == _AUTO:
+        dim = oracle_dim(params["r"], params["nT"])
+    bath_dim = params["bath_dim"]
+    if bath_dim == _AUTO:
         bath_dim = dim
     value = squeezed_probe_qfi(
         params["r"], params["eta"], params["nT"], params["lambda"],

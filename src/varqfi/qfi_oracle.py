@@ -19,6 +19,7 @@ __all__ = [
     "qfi_phase_covariant",
     "classical_fisher_error_propagation",
     "minimize_raw_cq",
+    "oracle_dim",
     "squeezed_probe_qfi",
 ]
 
@@ -145,6 +146,15 @@ def minimize_raw_cq(raw_cq, start, max_iter=10_000):
     )
 
 
+def oracle_dim(r, n_T):
+    """Probe register size that lets the beam splitter move every photon.
+
+    The squeezed probe's truncation plus the thermal bath's, less the shared
+    vacuum level, so no populated sector is clipped by the mixer.
+    """
+    return squeezed_dim(r) + thermal_dim(n_T) - 1
+
+
 def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     """Oracle QFI of a squeezed vacuum after loss and phase diffusion.
 
@@ -152,10 +162,11 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     between probe and bath without clipping a populated sector, applies
     loss then diffusion, and evaluates the QFI at the working point (the
     closing phase shift commutes with both noise maps and does not change
-    the QFI).  dim and bath_dim override the automatic sizing.
+    the QFI).  dim and bath_dim override the automatic sizing, which is
+    oracle_dim(r, n_T) for both.
     """
     if dim is None:
-        dim = squeezed_dim(r) + thermal_dim(n_T) - 1
+        dim = oracle_dim(r, n_T)
     if bath_dim is None:
         bath_dim = dim
     psi = squeezed_vacuum(r, dim)

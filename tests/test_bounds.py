@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varqfi.bounds import (
     GaussianAux,
@@ -122,6 +124,22 @@ def test_variance_bound_is_reciprocal_of_diffusion_bound():
         lam = rng.uniform(0.0, 0.5)
         bound = phase_variance_bound_full(m, eta, 0.0, lam)
         assert cq_min_loss_diffusion(m, eta, lam) == 1.0 / bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_mean=st.floats(-3.0, 4.0),
+    log_var=st.floats(-3.0, 8.0),
+    eta=st.floats(0.05, 1.0),
+    lam=st.floats(0.0, 0.5),
+)
+def test_zero_temperature_variance_floor_is_reciprocal_diffusion_bound(
+    log_mean, log_var, eta, lam
+):
+    m = InputMoments(10.0**log_mean, 10.0**log_var)
+    floor = phase_variance_bound_full(m, eta, 0.0, lam)
+    want = 1.0 / cq_min_loss_diffusion(m, eta, lam)
+    assert abs(floor - want) <= 1e-13 * want
 
 
 def test_variance_bound_floor_and_sentinel():

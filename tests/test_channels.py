@@ -164,6 +164,21 @@ def test_diffusion_matches_gaussian_phase_average(lam):
     assert np.max(np.abs(direct.elems - averaged.elems)) < 1e-8
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(2, 42),
+    lam=st.floats(0.02, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_diffusion_on_random_states(dim, lam, seed):
+    rho = _random_density(dim, seed)
+    out = phase_diffusion_by_quadrature(rho, lam).elems
+    assert np.max(np.abs(out - phase_diffusion(rho, lam).elems)) <= 1e-9
+    # the lower triangle is the conjugate of the integrated upper one
+    assert np.array_equal(out, out.conj().T)
+    assert abs(np.trace(out) - np.trace(rho.elems)) <= 1e-12
+
+
 def test_quadrature_diffusion_budget_raises():
     # a tolerance below roundoff exhausts the shared engine's panel budget
     rho = _random_density(8, 6)

@@ -114,6 +114,36 @@ def test_exit_code_invalid_physics(capsys):
         assert "usage error: eta must lie in (0, 1]" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "1", "inf"])
+def test_fig3_tol_rel_outside_unit_interval_is_misuse(tol, capsys, monkeypatch):
+    # refused before any row runs: such a tolerance used to spend the whole
+    # panel budget on every row, write error rows and exit 0
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a fig3 row ran")
+
+    monkeypatch.setattr("varqfi.cli.fig3_curve", no_rows)
+    code, out, err = _run(
+        capsys, "fig3", "--tol-rel", tol, "--n-points", "2", "--eta-list", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "usage error: --tol-rel must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize("key", ["dim", "bath_dim"])
+@pytest.mark.parametrize("raw", ["14.9", "nan", "-3"])
+def test_oracle_sizes_must_be_nonnegative_integers(key, raw, capsys):
+    code, out, err = _run(capsys, "oracle", "r=0.3", "%s=%s" % (key, raw))
+    assert (code, out) == (2, "")
+    assert "parameter %s needs a nonnegative integer, got %r" % (key, raw) in err
+
+
+def test_oracle_explicit_sizes_match_automatic_sizing(capsys):
+    auto = _run(capsys, "oracle", "r=0.3", "eta=0.9")
+    explicit = _run(capsys, "oracle", "r=0.3", "eta=0.9", "dim=14", "bath_dim=14")
+    assert explicit == auto
+    assert auto[0] == 0 and "dim=14 bath_dim=14" in auto[1]
+
+
 def test_fig1_csv_properties(tmp_path, capsys):
     out = tmp_path / "fig1.csv"
     code, _, _ = _run(capsys, "fig1", "--out", str(out))

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varqfi
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     exact_qfi_squeezed,
@@ -25,6 +28,7 @@ from varqfi.numerics import OptimizationError
 from varqfi.qfi_oracle import (
     classical_fisher_error_propagation,
     minimize_raw_cq,
+    oracle_dim,
     qfi_phase_covariant,
     squeezed_probe_qfi,
 )
@@ -77,6 +81,27 @@ def test_support_cutoff_stability():
     for eps in (1e-12, 1e-10):
         other = qfi_phase_covariant(rho, support_cutoff=eps)
         assert abs(other - ref) < 1e-6 * ref
+
+
+def test_oracle_dim_is_the_default_sizing():
+    assert oracle_dim(0.3, 0.0) == squeezed_dim(0.3) + thermal_dim(0.0) - 1 == 14
+    assert oracle_dim(0.5, 0.5) == squeezed_dim(0.5) + thermal_dim(0.5) - 1
+    got = squeezed_probe_qfi(0.5, 0.8, 0.5)
+    dim = oracle_dim(0.5, 0.5)
+    assert got == squeezed_probe_qfi(0.5, 0.8, 0.5, dim=dim, bath_dim=dim)
+
+
+@pytest.mark.parametrize("module", ["channels", "fock_core", "qfi_oracle"])
+def test_oracle_route_imports_nothing_from_bounds(module):
+    # the cross-check means something only while the routes stay independent
+    path = Path(varqfi.__file__).parent / ("%s.py" % module)
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += ["%s.%s" % (node.module, alias.name) for alias in node.names]
+    assert not [name for name in imported if "bounds" in name.split(".")]
 
 
 def test_oracle_matches_closed_form_spot():
