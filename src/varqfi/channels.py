@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .fock_core import (
+    TAIL_MASS,
     DensityMatrix,
     TruncationError,
     beam_splitter,
@@ -56,7 +57,7 @@ def _check_loss(eta, n_T, bath_dim):
         q = n_T / (n_T + 1.0)
         raise TruncationError(
             f"bath_dim={bath_dim} leaves thermal tail mass {q**bath_dim:.3e} "
-            f"above {1e-8:g}",
+            f"above {TAIL_MASS:g}",
             suggested_dim=floor,
         )
 

@@ -3,8 +3,8 @@
 Subcommands fig1/fig2/fig3 sweep the bound formulas (and optionally the
 Fock oracle) over parameter grids and emit deterministic CSV; bound and
 oracle evaluate a single named formula or the oracle on explicit
-parameters.  Output goes to stdout unless --out is given; --plot writes a
-gnuplot script referencing the CSV file.
+parameters.  Output goes to stdout unless --out is given; the figure
+commands' --plot writes a gnuplot script referencing the CSV file.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -60,14 +60,14 @@ def _csv_text(header, rows):
 
 
 def _log_grid(lo, hi, points):
-    if not (lo > 0.0 and hi > lo and points >= 2):
-        raise UsageError("grid needs 0 < min < max and at least 2 points")
+    if not (0.0 < lo < hi < math.inf and points >= 2):  # NaN fails too
+        raise UsageError("grid needs 0 < min < max < inf and at least 2 points")
     return np.logspace(math.log10(lo), math.log10(hi), int(points))
 
 
 def _lin_grid(lo, hi, points):
-    if not (hi > lo and points >= 2):
-        raise UsageError("grid needs min < max and at least 2 points")
+    if not (-math.inf < lo < hi < math.inf and points >= 2):  # NaN fails too
+        raise UsageError("grid needs finite min < max and at least 2 points")
     return np.linspace(lo, hi, int(points))
 
 
@@ -81,19 +81,23 @@ def _float_list(text):
     return values
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write output file: %s" % exc)
+
+
 def _emit(args, csv_text, plot_script=None):
-    if args.plot and not args.out:
+    if plot_script is not None and not args.out:
         raise UsageError("--plot requires --out (the script references the CSV file)")
-    if args.plot and plot_script is None:
-        raise UsageError("this command has no plot output")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
-    if args.plot:
-        with open(args.plot, "w", newline="") as fh:
-            fh.write(plot_script)
+    if plot_script is not None:
+        _write(args.plot, plot_script)
     return 0
 
 
@@ -352,11 +356,12 @@ def cmd_oracle(args):
 # ------------------------------------------------------------- plumbing
 
 
-def _add_common(parser):
+def _add_common(parser, plot=False):
     parser.add_argument("--out", help="write CSV/report to this file instead of stdout")
-    parser.add_argument(
-        "--plot", help="also write a gnuplot script referencing the CSV (needs --out)"
-    )
+    if plot:
+        parser.add_argument(
+            "--plot", help="also write a gnuplot script referencing the CSV (needs --out)"
+        )
     parser.add_argument(
         "--config", help="key=value file supplying defaults; flags override it"
     )
@@ -393,7 +398,7 @@ def build_parser():
     p1.add_argument("--n-min", type=float, default=0.1)
     p1.add_argument("--n-max", type=float, default=100.0)
     p1.add_argument("--n-points", type=int, default=50)
-    _add_common(p1)
+    _add_common(p1, plot=True)
     p1.set_defaults(func=cmd_fig1)
 
     p2 = sub.add_parser("fig2", help="loss+diffusion bound sandwich vs probe energy")
@@ -406,7 +411,7 @@ def build_parser():
         "--with-oracle", action="store_true",
         help="add a Fock-oracle column for truncation-safe rows",
     )
-    _add_common(p2)
+    _add_common(p2, plot=True)
     p2.set_defaults(func=cmd_fig2)
 
     p3 = sub.add_parser("fig3", help="waveform MSE bound vs photon flux")
@@ -421,7 +426,7 @@ def build_parser():
         "--tol-rel", type=float, default=1e-8,
         help="relative tolerance of the adaptive quadrature behind each row",
     )
-    _add_common(p3)
+    _add_common(p3, plot=True)
     p3.set_defaults(func=cmd_fig3)
 
     pb = sub.add_parser("bound", help="evaluate one named bound on explicit parameters")

@@ -40,7 +40,7 @@ __all__ = [
 
 MAX_PRODUCT_DIM = 4096
 
-# discarded probability mass allowed by the default truncation rule
+# discarded probability mass allowed by the truncation rule
 TAIL_MASS = 1e-8
 
 
@@ -161,20 +161,20 @@ def _squeezed_population_iter(r):
         m += 1
 
 
-def squeezed_dim(r, tail_mass=TAIL_MASS, max_dim=MAX_PRODUCT_DIM):
-    """Smallest dim holding all but tail_mass of the squeezed vacuum."""
+def squeezed_dim(r):
+    """Smallest dim holding all but TAIL_MASS of the squeezed vacuum."""
     check_nonneg(r, "r")
     if r == 0:
         return 2
     cum = 0.0
     for m, p in enumerate(_squeezed_population_iter(r)):
         cum += p
-        if 1.0 - cum <= tail_mass:
+        if 1.0 - cum <= TAIL_MASS:
             return max(2, 2 * m + 1)
-        if 2 * m + 1 > max_dim:
+        if 2 * m + 1 > MAX_PRODUCT_DIM:
             raise TruncationError(
-                f"squeezing r={r} needs more than {max_dim} levels at "
-                f"tail mass {tail_mass:g}"
+                f"squeezing r={r} needs more than {MAX_PRODUCT_DIM} levels at "
+                f"tail mass {TAIL_MASS:g}"
             )
 
 
@@ -208,13 +208,13 @@ def squeezed_vacuum(r, dim):
     return FockVector(dim, amps)
 
 
-def thermal_dim(n_T, tail_mass=TAIL_MASS):
-    """Smallest dim whose geometric tail mass is at most tail_mass."""
+def thermal_dim(n_T):
+    """Smallest dim whose geometric tail mass is at most TAIL_MASS."""
     check_nonneg(n_T, "n_T")
     if n_T == 0:
         return 2
     q = n_T / (n_T + 1.0)
-    return max(2, math.ceil(math.log(tail_mass) / math.log(q)))
+    return max(2, math.ceil(math.log(TAIL_MASS) / math.log(q)))
 
 
 def thermal_state(n_T, dim):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,24 +280,18 @@ class Fig3Row(NamedTuple):
     flat: bool
 
 
-def _default_r_rule(flux_N):
-    return 16.0 * flux_N ** (1.0 / 3.0)
-
-
-def fig3_curve(eta, N_grid, R_rule: Callable[[float], float] | None = None,
-               rel_tol=1e-8):
+def fig3_curve(eta, N_grid, rel_tol=1e-8):
     """HL-to-SQL transition curve: optimized MSE bound per photon flux.
 
-    For each flux value the anti-squeezing level follows R_rule (default
-    16 N^(1/3)), the cavity rate solves the flux equation, and the bound
-    is maximized over beta, all under the unit-scale Lorentzian prior
-    kappa = lambda_c = 1 (p = 2).
+    For each flux value the anti-squeezing level is R = 16 N^(1/3), the
+    cavity rate solves the flux equation, and the bound is maximized over
+    beta, all under the unit-scale Lorentzian prior kappa = lambda_c = 1
+    (p = 2).
     """
-    rule = R_rule if R_rule is not None else _default_r_rule
     prior = PriorSpectrum(kappa=1.0, p=2.0, lambda_c=1.0)
     rows = []
     for flux in N_grid:
-        model = OpoSpectrumModel(rule(float(flux)), float(flux))
+        model = OpoSpectrumModel(16.0 * float(flux) ** (1.0 / 3.0), float(flux))
         beta_star, bound, flat = mse_bound_optimized(prior, model, eta,
                                                      rel_tol=rel_tol)
         rows.append(Fig3Row(float(flux), beta_star, bound, flat))

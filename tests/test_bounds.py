@@ -215,6 +215,42 @@ def test_minimizing_raw_forms_recovers_closed_forms_spot():
     assert abs(value - want) < 1e-6 * want
 
 
+# 12 Newton steps of at most 45 evaluations (a 3-parameter Hessian, 20
+# halvings and a gradient) plus the 7 at the start stay under 600
+_MAX_EVALS = 600
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_mean=st.floats(-2.0, 3.0),
+    eta=st.floats(0.3, 1.0),
+    n_T=st.one_of(st.just(0.0), st.floats(1e-2, 10.0)),
+    log_lam=st.floats(-2.0, 0.0),
+)
+def test_minimized_raw_costs_match_closed_forms_on_a_wide_box(
+    log_mean, eta, n_T, log_lam
+):
+    m = _squeezed(10.0**log_mean)
+    lam = 10.0**log_lam
+    cases = (
+        (lambda a, b, g: raw_cq_loss_thermal(m, eta, n_T, a, b, g),
+         (0.9, 0.1, 0.1), cq_min_loss_thermal(m, eta, n_T)),
+        (lambda a, b: raw_cq_loss_diffusion(m, eta, lam, a, b),
+         (0.9, 0.1), cq_min_loss_diffusion(m, eta, lam)),
+    )
+    for cost, start, want in cases:
+        evals = 0
+
+        def counted(*x):
+            nonlocal evals
+            evals += 1
+            return cost(*x)
+
+        value, _ = minimize_raw_cq(counted, start)
+        assert abs(value - want) <= 1e-12 * want
+        assert evals <= _MAX_EVALS
+
+
 def test_parameter_validation():
     m = InputMoments(1.0, 1.0)
     for bad_eta in (0.0, -0.5, 1.5):

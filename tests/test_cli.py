@@ -260,19 +260,55 @@ def test_plot_script_contents(tmp_path, capsys):
 
 
 def test_plot_rejected_for_one_shot_reports(tmp_path, capsys):
-    code, _, err = _run(
-        capsys, "bound", "eq17", "r=0.5",
-        "--out", str(tmp_path / "b.txt"), "--plot", str(tmp_path / "b.gp"),
-    )
+    # bound and oracle have no plot output, so they do not register --plot
+    for argv in (("bound", "eq17", "r=0.5"), ("oracle", "r=0.1")):
+        with pytest.raises(SystemExit) as info:
+            _run(
+                capsys, *argv,
+                "--out", str(tmp_path / "b.txt"), "--plot", str(tmp_path / "b.gp"),
+            )
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text("plot = b.gp\n")
+        code, _, err = _run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key 'plot'" in err
+
+
+def test_unwritable_output_is_misuse(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    grid = ("fig3", "--n-min", "1e3", "--n-max", "1e4", "--n-points", "2")
+    code, _, err = _run(capsys, *grid, "--out", missing)
     assert code == 2
-    assert "no plot output" in err
+    assert "cannot write" in err
+
+    out = tmp_path / "fig3.csv"
+    code, _, err = _run(capsys, *grid, "--out", str(out), "--plot", missing)
+    assert code == 2
+    assert "cannot write" in err
+    assert out.read_text().startswith("flux_N,")
 
 
 def test_bad_grid_specs(capsys):
-    assert _run(capsys, "fig1", "--n-min", "-1")[0] == 2
-    assert _run(capsys, "fig1", "--n-points", "1")[0] == 2
-    assert _run(capsys, "fig2", "--r-min", "-0.2")[0] == 2
-    assert _run(capsys, "fig3", "--n-max", "10")[0] == 2
+    for argv in (
+        ("fig1", "--n-min", "-1"),
+        ("fig1", "--n-points", "1"),
+        ("fig2", "--r-min", "-0.2"),
+        ("fig3", "--n-max", "10"),
+        ("fig1", "--n-max", "inf"),
+        ("fig1", "--n-min", "nan"),
+        ("fig2", "--r-max", "inf"),
+        ("fig2", "--r-min=-inf"),
+        ("fig2", "--r-max", "nan"),
+        ("fig3", "--n-max", "inf", "--n-points", "3", "--eta-list", "1"),
+        ("fig3", "--n-min", "nan"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "grid" in err, argv
 
 
 def test_config_supplies_defaults_flags_win(tmp_path, capsys):
@@ -338,10 +374,11 @@ def test_stdout_when_no_out(capsys):
         "import varqfi.cli",
         "varqfi.cli.main(['bound', 'eq16', 'mean_n=2', 'var_n=12', 'eta=0.5'])",
         "varqfi.cli.main(['fig1', '--n-points', '2'])",
+        "varqfi.qfi_oracle.minimize_raw_cq(lambda x, y: x * x + y * y, (1.0, 2.0))",
     ],
 )
 def test_light_commands_never_load_scipy(statement):
-    # only the oracle's sector blocks and the raw-cost minimizer need scipy
+    # only the oracle's sector blocks need scipy
     code = "import sys, varqfi.cli\n%s\nassert 'scipy' not in sys.modules" % statement
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True

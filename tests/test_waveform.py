@@ -300,9 +300,3 @@ def test_fig3_curve_small_grid():
         assert lo.bound >= ll.bound  # losses blur the error floor
         assert not lo.flat
         assert ll.flat and ll.beta_star == 1.0
-
-
-def test_fig3_curve_custom_level_rule():
-    fixed = fig3_curve(0.95, [1e4], R_rule=lambda n: 16.0)
-    default = fig3_curve(0.95, [1e4])
-    assert fixed[0].bound != default[0].bound
