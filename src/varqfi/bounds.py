@@ -68,6 +68,21 @@ def _thermal_rate(mean_n, n_T):
     return (n_T + 1.0) * _inv(mean_n) + n_T / (mean_n + 1.0)
 
 
+def _noise_denominator(m, eta, n_T, lam):
+    """1/var_n + ((1-eta)/eta)((n_T+1)/mean_n + n_T/(mean_n+1)) + 8 lam^2.
+
+    The QFI bounds are 4/D and the phase-variance floor is D/4; scaling by
+    4 is exact in binary floating point, so the two stay reciprocal.
+    """
+    check_eta(eta)
+    check_nonneg(n_T, "n_T")
+    check_nonneg(lam, "lam")
+    denom = _inv(m.var_n)
+    if eta < 1.0:
+        denom += (1.0 - eta) / eta * _thermal_rate(m.mean_n, n_T)
+    return denom + 8.0 * lam**2
+
+
 def cq_min_loss_thermal(m, eta, n_T):
     """Variational QFI upper bound under photon loss into a thermal bath.
 
@@ -75,12 +90,7 @@ def cq_min_loss_thermal(m, eta, n_T):
     for any probe with the given moments.  A vacuum probe under loss
     (mean_n = 0, eta < 1) and a number eigenstate (var_n = 0) both give 0.
     """
-    check_eta(eta)
-    check_nonneg(n_T, "n_T")
-    denom = _inv(m.var_n)
-    if eta < 1.0:
-        denom += (1.0 - eta) / eta * _thermal_rate(m.mean_n, n_T)
-    return 4.0 * _inv(denom)
+    return 4.0 * _inv(_noise_denominator(m, eta, n_T, 0.0))
 
 
 def cq_min_loss_zero_T(m, eta):
@@ -103,13 +113,7 @@ def cq_min_loss_diffusion(m, eta, lam):
     4 / [1/var_n + (1-eta)/(eta mean_n) + 8 lam^2].  The diffusion term
     caps the bound at 1/(2 lam^2) no matter how bright the probe is.
     """
-    check_eta(eta)
-    check_nonneg(lam, "lam")
-    denom = _inv(m.var_n)
-    if eta < 1.0:
-        denom += (1.0 - eta) / eta * _thermal_rate(m.mean_n, 0.0)
-    denom += 8.0 * lam**2
-    return 4.0 * _inv(denom)
+    return 4.0 * _inv(_noise_denominator(m, eta, 0.0, lam))
 
 
 def phase_variance_bound_full(m, eta, n_T, lam):
@@ -120,14 +124,7 @@ def phase_variance_bound_full(m, eta, n_T, lam):
     of the reciprocal of the matching QFI bound, so at n_T = 0 it equals
     1/cq_min_loss_diffusion exactly.
     """
-    check_eta(eta)
-    check_nonneg(n_T, "n_T")
-    check_nonneg(lam, "lam")
-    out = 0.25 * _inv(m.var_n)
-    if eta < 1.0:
-        out += (1.0 - eta) / (4.0 * eta) * _thermal_rate(m.mean_n, n_T)
-    out += 2.0 * lam**2
-    return out
+    return 0.25 * _noise_denominator(m, eta, n_T, lam)
 
 
 def im_opt_squeezed(r, eta, lam):

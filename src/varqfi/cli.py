@@ -4,7 +4,8 @@ Subcommands fig1/fig2/fig3 sweep the bound formulas (and optionally the
 Fock oracle) over parameter grids and emit deterministic CSV; bound and
 oracle evaluate a single named formula or the oracle on explicit
 parameters.  Output goes to stdout unless --out is given; the figure
-commands' --plot writes a gnuplot script referencing the CSV file.
+commands' --plot writes a gnuplot script referencing the CSV file.  An
+argument @FILE reads further flags from FILE, one `key = value` per line.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -12,7 +13,9 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -89,9 +92,25 @@ def _write(path, text):
         raise UsageError("cannot write output file: %s" % exc)
 
 
-def _emit(args, csv_text, plot_script=None):
-    if plot_script is not None and not args.out:
+def _check_outputs(args):
+    """Refuse, before any row is computed, the outputs _emit cannot write.
+
+    Creates and truncates nothing.  An unwritable --plot path still shows
+    only when the script is written, after the CSV.
+    """
+    if getattr(args, "plot", None) and not args.out:
         raise UsageError("--plot requires --out (the script references the CSV file)")
+    if args.out:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out):
+            raise UsageError("cannot write output file: %r is a directory" % args.out)
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise UsageError(
+                "cannot write output file: %r is not a writable directory" % folder
+            )
+
+
+def _emit(args, csv_text, plot_script=None):
     if args.out:
         _write(args.out, csv_text)
     else:
@@ -362,23 +381,19 @@ def _add_common(parser, plot=False):
         parser.add_argument(
             "--plot", help="also write a gnuplot script referencing the CSV (needs --out)"
         )
-    parser.add_argument(
-        "--config", help="key=value file supplying defaults; flags override it"
-    )
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that keeps its optional flags' actions by dest for --config."""
+def _config_line(line):
+    """One line of an @FILE argument file as command-line tokens.
 
-    def __init__(self, *args, **kwargs):
-        self.options = {}  # must exist before __init__ adds -h through add_argument
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.option_strings:
-            self.options[action.dest] = action
-        return action
+    `key = value` gives one --key=value token and a bare `key` sets a
+    switch; keys take `_` or `-`, and `#` starts a comment.
+    """
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return []
+    key, eq, value = line.partition("=")
+    return ["--" + key.strip().replace("_", "-") + eq + value.strip()]
 
 
 def build_parser():
@@ -386,8 +401,12 @@ def build_parser():
         prog="varqfi",
         description="Variational phase-estimation bounds, their Fock-space "
         "oracle, and the waveform MSE tables.",
+        fromfile_prefix_chars="@",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.convert_arg_line_to_args = _config_line
+    # no abbreviated flags: a file's `eta` must not become fig3's --eta-list
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
     p1 = sub.add_parser("fig1", help="bound vs exact information under thermal loss")
     p1.add_argument("--eta", type=float, default=0.8)
@@ -440,67 +459,18 @@ def build_parser():
     _add_common(po)
     po.set_defaults(func=cmd_oracle)
 
-    return parser, {"fig1": p1, "fig2": p2, "fig3": p3, "bound": pb, "oracle": po}
-
-
-def _load_config(path):
-    entries = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        "%s:%d: expected key=value, got %r" % (path, lineno, line)
-                    )
-                key, _, value = line.partition("=")
-                entries[key.strip().replace("-", "_")] = value.strip()
-        return entries
-    except OSError as exc:
-        raise UsageError("cannot read config file: %s" % exc)
-
-
-def _apply_config(path, parser, subparser, argv):
-    """Parse argv again with the config file's entries as subcommand defaults.
-
-    A default applies only where its flag is absent, so explicit flags win.
-    Values are converted here, so a bad one is a UsageError naming its key.
-    """
-    entries = _load_config(path)
-    options = {
-        dest: action
-        for dest, action in subparser.options.items()
-        if dest not in ("help", "config")
-    }
-    defaults = {}
-    for key, raw in entries.items():
-        action = options.get(key)
-        if action is None:
-            raise UsageError(
-                "unknown config key %r (valid: %s)" % (key, ", ".join(sorted(options)))
-            )
-        if action.nargs == 0:  # an on/off switch
-            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                defaults[key] = action.type(raw)
-            except ValueError as exc:
-                raise UsageError("config key %s: %s" % (key, exc))
-        else:
-            defaults[key] = raw
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    # @FILE arguments go first after the command, so explicit flags win
+    files = [arg for arg in argv if arg.startswith("@")]
+    rest = [arg for arg in argv if not arg.startswith("@")]
+    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = _apply_config(args.config, parser, subparsers[args.command], argv)
+        args = parser.parse_args(rest[:1] + files + rest[1:])
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

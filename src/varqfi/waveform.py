@@ -167,21 +167,18 @@ def spectral_cq(omega, model, params):
 
 def _positive_knots(prior, model, params):
     """Frequencies where the MSE integrand changes character."""
-    weight = params.eta + params.beta * (1.0 - params.eta)
-    w_flat = 1.0 - params.beta
-    flat = 4.0 * model.flux_N * w_flat**2 * params.eta * (1.0 - params.eta)
-    cq0 = float(spectral_cq(0.0, model, params))
-    cq_inf = 4.0 * model.flux_N * weight**2 + flat
+    # the cost's plateaus at omega = 0 and omega = inf, where sigma_tilde is 4N
+    plateaus = [float(spectral_cq(omega, model, params)) for omega in (0.0, math.inf)]
     knots = [
         (1.0 - model.x) * model.gamma_cavity,
         (1.0 + model.x) * model.gamma_cavity,
     ]
     if prior.lambda_c > 0.0:
         knots.append(prior.lambda_c)
-        for cq in (cq0, cq_inf):
+        for cq in plateaus:
             knots.append(math.sqrt(max(prior.kappa * cq - prior.lambda_c**2, 0.0)))
     else:
-        for cq in (cq0, cq_inf):
+        for cq in plateaus:
             knots.append((prior.kappa ** (prior.p - 1.0) * cq) ** (1.0 / prior.p))
     return sorted({k for k in knots if k > 0.0})
 

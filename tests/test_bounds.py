@@ -142,6 +142,33 @@ def test_zero_temperature_variance_floor_is_reciprocal_diffusion_bound(
     assert abs(floor - want) <= 1e-13 * want
 
 
+def _ordered_pair(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean_n=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda x: 10.0**x)),
+    var_n=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda x: 10.0**x)),
+    etas=_ordered_pair(0.01, 1.0),
+    n_Ts=_ordered_pair(0.0, 100.0),
+    lams=_ordered_pair(0.0, 2.0),
+)
+def test_closed_forms_are_monotone_in_the_noise(mean_n, var_n, etas, n_Ts, lams):
+    # more transmission raises the QFI bounds; more bath or diffusion lowers
+    # them, and the variance floor moves the other way in all three
+    m = InputMoments(mean_n, var_n)
+    (e0, e1), (t0, t1), (l0, l1) = etas, n_Ts, lams
+    assert cq_min_loss_thermal(m, e0, t0) <= cq_min_loss_thermal(m, e1, t0)
+    assert cq_min_loss_thermal(m, e0, t1) <= cq_min_loss_thermal(m, e0, t0)
+    assert cq_min_loss_diffusion(m, e0, l0) <= cq_min_loss_diffusion(m, e1, l0)
+    assert cq_min_loss_diffusion(m, e0, l1) <= cq_min_loss_diffusion(m, e0, l0)
+    floor = phase_variance_bound_full(m, e0, t0, l0)
+    assert phase_variance_bound_full(m, e1, t0, l0) <= floor
+    assert floor <= phase_variance_bound_full(m, e0, t1, l0)
+    assert floor <= phase_variance_bound_full(m, e0, t0, l1)
+
+
 def test_variance_bound_floor_and_sentinel():
     assert phase_variance_bound_full(InputMoments(0.0, 0.0), 0.5, 1.0, 0.1) == math.inf
     lam = 0.2

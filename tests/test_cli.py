@@ -1,15 +1,21 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
+    cq_min_loss_zero_T,
     exact_qfi_squeezed,
     im_opt_squeezed,
+    phase_variance_bound_full,
 )
 from varqfi.cli import main
 from varqfi.fock_core import InputMoments
@@ -44,6 +50,68 @@ def test_bound_defaults_fill_in(capsys):
     # eta defaults to 1, lambda to 0: lossless noiseless gives 4 var_n
     assert out.endswith("value=16\n")
     assert "eta=1" in out and "lambda=0" in out
+
+
+def _moments(p):
+    return InputMoments(p["mean_n"], p["var_n"])
+
+
+# each formula's keys in the order its line echoes them, and the library call
+_LIBRARY = {
+    "eq15": (
+        ("mean_n", "var_n", "eta", "nT"),
+        lambda p: cq_min_loss_thermal(_moments(p), p["eta"], p["nT"]),
+    ),
+    "eq16": (
+        ("mean_n", "var_n", "eta"),
+        lambda p: cq_min_loss_zero_T(_moments(p), p["eta"]),
+    ),
+    "eq17": (
+        ("r", "eta", "nT"),
+        lambda p: exact_qfi_squeezed(p["r"], p["eta"], p["nT"]),
+    ),
+    "eq21": (
+        ("mean_n", "var_n", "eta", "lambda"),
+        lambda p: cq_min_loss_diffusion(_moments(p), p["eta"], p["lambda"]),
+    ),
+    "eq22": (
+        ("mean_n", "var_n", "eta", "nT", "lambda"),
+        lambda p: phase_variance_bound_full(
+            _moments(p), p["eta"], p["nT"], p["lambda"]
+        ),
+    ),
+    "eq25": (
+        ("r", "eta", "lambda"),
+        lambda p: im_opt_squeezed(p["r"], p["eta"], p["lambda"]),
+    ),
+}
+
+_RANGES = {
+    "mean_n": st.floats(-3.0, 4.0).map(lambda x: 10.0**x),
+    "var_n": st.floats(-3.0, 8.0).map(lambda x: 10.0**x),
+    "eta": st.floats(0.01, 1.0),
+    "nT": st.floats(0.0, 100.0),
+    "lambda": st.floats(0.0, 2.0),
+    "r": st.floats(0.0, 3.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_LIBRARY)), data=st.data())
+def test_bound_line_echoes_inputs_and_parses_back(name, data):
+    keys, library = _LIBRARY[name]
+    params = {key: data.draw(_RANGES[key], label=key) for key in keys}
+    order = data.draw(st.permutations(keys), label="order")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["bound", name] + ["%s=%r" % (key, params[key]) for key in order])
+    assert code == 0
+    fields = out.getvalue().split()
+    assert fields[0] == name
+    assert fields[1:-1] == ["%s=%.12g" % (key, params[key]) for key in keys]
+    key, _, value = fields[-1].partition("=")
+    assert key == "value"
+    assert math.isclose(float(value), library(params), rel_tol=5e-12)
 
 
 def test_bound_unknown_name_lists_valid(capsys):
@@ -272,9 +340,10 @@ def test_plot_rejected_for_one_shot_reports(tmp_path, capsys):
 
         cfg = tmp_path / "plot.cfg"
         cfg.write_text("plot = b.gp\n")
-        code, _, err = _run(capsys, *argv, "--config", str(cfg))
-        assert code == 2
-        assert "unknown config key 'plot'" in err
+        with pytest.raises(SystemExit) as info:
+            _run(capsys, *argv, "@" + str(cfg))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --plot=b.gp" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_misuse(tmp_path, capsys):
@@ -289,6 +358,29 @@ def test_unwritable_output_is_misuse(tmp_path, capsys):
     assert code == 2
     assert "cannot write" in err
     assert out.read_text().startswith("flux_N,")
+
+
+def test_outputs_refused_before_any_row(tmp_path, capsys, monkeypatch):
+    # misuse that _emit would find after the whole sweep is found first
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a fig3 row ran")
+
+    monkeypatch.setattr("varqfi.cli.fig3_curve", no_rows)
+    plot = tmp_path / "x.gp"
+    code, out, err = _run(capsys, "fig3", "--plot", str(plot))
+    assert (code, out) == (2, "")
+    assert "--plot requires --out" in err
+    assert not plot.exists()
+
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = _run(capsys, "fig3", "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert "cannot write" in err
+    assert not missing.parent.exists()
+
+    code, out, err = _run(capsys, "fig3", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "is a directory" in err
 
 
 def test_bad_grid_specs(capsys):
@@ -316,7 +408,7 @@ def test_config_supplies_defaults_flags_win(tmp_path, capsys):
     cfg.write_text("eta = 0.5   # overridden by the explicit flag\nn-points = 3\n")
     out = tmp_path / "fig1.csv"
     code, _, _ = _run(
-        capsys, "fig1", "--eta", "0.8", "--config", str(cfg), "--out", str(out)
+        capsys, "fig1", "--eta", "0.8", "@" + str(cfg), "--out", str(out)
     )
     assert code == 0
     _, rows = _read_csv(out)
@@ -327,26 +419,64 @@ def test_config_supplies_defaults_flags_win(tmp_path, capsys):
     assert abs(got - cq_min_loss_thermal(m, 0.8, 10.0)) < 1e-10  # flag eta won
 
 
+def test_config_flag_after_file_wins_and_bare_key_sets_switch(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("eta = 0.5\nn_points = 3\n")
+    code, out, _ = _run(capsys, "fig1", "@" + str(cfg), "--eta", "0.8")
+    assert code == 0
+    assert out == _run(capsys, "fig1", "--eta", "0.8", "--n-points", "3")[1]
+
+    cfg.write_text("with-oracle  # a bare key sets it\nr-max = 0.5\nr-points = 2\n")
+    code, out, _ = _run(capsys, "fig2", "@" + str(cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "mean_n,cq_min,im_opt,oracle_qfi"
+    assert all(row.split(",")[3] != "" for row in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize(
+    "line,command,message",
+    [
+        ("n-points = three", "fig1", "invalid int value: 'three'"),
+        # keys are whole flag names: fig1's eta is not a prefix of --eta-list
+        ("eta = 0.5", "fig3", "unrecognized arguments: --eta=0.5"),
+    ],
+)
+def test_config_bad_value_or_prefix_key_is_misuse(
+    line, command, message, tmp_path, capsys
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, command, "@" + str(cfg))
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
-    code, _, err = _run(capsys, "fig1", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config key" in err
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "fig1", "@" + str(cfg))
+    assert info.value.code == 2
+    assert "unrecognized arguments: --bogus=1" in capsys.readouterr().err
 
-    code, _, err = _run(capsys, "fig1", "--config", str(tmp_path / "missing.cfg"))
-    assert code == 2
-    assert "cannot read config" in err
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "fig1", "@" + str(tmp_path / "missing.cfg"))
+    assert info.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
     cfg.write_text("no equals sign here\n")
-    assert _run(capsys, "fig1", "--config", str(cfg))[0] == 2
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "fig1", "@" + str(cfg))
+    assert info.value.code == 2
 
     # --tol-rel belongs to fig3 alone, the one command that reads it
     cfg.write_text("tol-rel = 1e-6\n")
     for command in ("fig1", "fig2", "oracle"):
-        code, _, err = _run(capsys, command, "--config", str(cfg))
-        assert code == 2
-        assert "unknown config key 'tol_rel'" in err
+        with pytest.raises(SystemExit) as info:
+            _run(capsys, command, "@" + str(cfg))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol-rel=1e-6" in capsys.readouterr().err
 
 
 def test_csv_determinism(tmp_path, capsys):
