@@ -19,7 +19,6 @@ from .bounds import (
     raw_cq_loss_thermal,
 )
 from .channels import (
-    lossy_thermal_channel,
     lossy_thermal_channel_pure,
     phase_diffusion,
     phase_diffusion_by_quadrature,
@@ -30,15 +29,10 @@ from .fock_core import (
     FockVector,
     InputMoments,
     TruncationError,
-    annihilation_operator,
-    beam_splitter,
     beam_splitter_apply,
     moments,
-    number_operator,
-    partial_trace,
     squeezed_dim,
     squeezed_vacuum,
-    tensor_product,
     thermal_dim,
     thermal_state,
 )
@@ -51,7 +45,6 @@ from .numerics import (
     maximize_scalar,
 )
 from .qfi_oracle import (
-    classical_fisher_error_propagation,
     minimize_raw_cq,
     oracle_dim,
     qfi_phase_covariant,

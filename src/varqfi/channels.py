@@ -23,18 +23,13 @@ from .fock_core import (
     TAIL_MASS,
     DensityMatrix,
     TruncationError,
-    beam_splitter,
     beam_splitter_apply,
-    partial_trace,
-    tensor_product,
     thermal_dim,
-    thermal_state,
 )
 from .numerics import check_eta, check_nonneg, integrate
 
 __all__ = [
     "phase_shift",
-    "lossy_thermal_channel",
     "lossy_thermal_channel_pure",
     "phase_diffusion",
     "phase_diffusion_by_quadrature",
@@ -62,33 +57,18 @@ def _check_loss(eta, n_T, bath_dim):
         )
 
 
-def lossy_thermal_channel(rho, eta, n_T, bath_dim):
-    """Mix rho with a thermal bath on a transmission-eta beam splitter.
-
-    The bath register starts in thermal_state(n_T, bath_dim), the two-mode
-    state is conjugated by beam_splitter(arccos(sqrt(eta))), and the bath is
-    traced out.  bath_dim must at least satisfy the thermal truncation rule;
-    callers that push many probe photons into the bath should size it with
-    the extra receive capacity on top of that floor.
-    """
-    _check_loss(eta, n_T, bath_dim)
-    if eta == 1.0:
-        return DensityMatrix(rho.dim, rho.elems.copy())
-    theta = math.acos(math.sqrt(eta))
-    joint = tensor_product(rho.elems, thermal_state(n_T, bath_dim).elems)
-    u = beam_splitter(theta, rho.dim, bath_dim)
-    return partial_trace(u @ joint @ u.conj().T, 0, (rho.dim, bath_dim))
-
-
 def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
-    """Same map as lossy_thermal_channel, specialized to a pure probe.
+    """Mix a pure probe with a thermal bath on a transmission-eta beam splitter.
 
-    The thermal bath is diagonal in the number basis, so the joint input is
-    a mixture of pure vectors |psi>|k>; each is pushed through the beam
-    splitter sector by sector and contributes one rank-one term to the
-    output.  Cost scales with the joint vector length instead of its
-    square.  Agrees with the dense route to roundoff; kept as a separate
-    code path so the two can be checked against each other.
+    The bath starts thermal with mean n_T on bath_dim levels, the two modes
+    are mixed by the beam splitter at theta = arccos(sqrt(eta)), and the
+    bath is traced out.  The thermal bath is diagonal in the number basis,
+    so the joint input is a mixture of pure vectors |psi>|k>; each is pushed
+    through the beam splitter sector by sector and contributes one rank-one
+    term to the output.  Cost scales with the joint vector length instead
+    of its square.  bath_dim must at least satisfy the thermal truncation
+    rule; callers that push many probe photons into the bath should size it
+    with the extra receive capacity on top of that floor.
     """
     _check_loss(eta, n_T, bath_dim)
     if eta == 1.0:

@@ -95,15 +95,15 @@ def _write(path, text):
 def _check_outputs(args):
     """Refuse, before any row is computed, the outputs _emit cannot write.
 
-    Creates and truncates nothing.  An unwritable --plot path still shows
-    only when the script is written, after the CSV.
+    One rule for --out and --plot.  Creates and truncates nothing.
     """
-    if getattr(args, "plot", None) and not args.out:
+    plot = getattr(args, "plot", None)
+    if plot and not args.out:
         raise UsageError("--plot requires --out (the script references the CSV file)")
-    if args.out:
-        folder = os.path.dirname(os.path.abspath(args.out))
-        if os.path.isdir(args.out):
-            raise UsageError("cannot write output file: %r is a directory" % args.out)
+    for path in filter(None, (args.out, plot)):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise UsageError("cannot write output file: %r is a directory" % path)
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise UsageError(
                 "cannot write output file: %r is not a writable directory" % folder

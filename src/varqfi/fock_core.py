@@ -1,12 +1,12 @@
-"""Dense states and operators on truncated Fock spaces.
+"""Dense states on truncated Fock spaces and the two-mode mixer.
 
-Single- and two-mode plumbing for the bound/oracle cross-checks: number and
-annihilation operators, squeezed vacuum and thermal states, beam-splitter
-unitaries, tensor products, partial traces, photon-number moments.  Dense
-numpy throughout; the two-mode product dimension is capped at 4096 so every
-matrix exponential stays desk-scale.  The beam splitter is exponentiated
-per photon-number sector; each sector block is built on first use, and
-beam_splitter_apply builds and applies only the sectors its input populates.
+Single- and two-mode plumbing for the oracle: squeezed vacuum and thermal
+states, photon-number moments, and the beam splitter applied to a joint
+pure-state vector.  Dense numpy throughout; the two-mode product dimension
+is capped at 4096 so every matrix exponential stays desk-scale.  The beam
+splitter is exponentiated per photon-number sector; each sector block is
+built on first use, and beam_splitter_apply builds and applies only the
+sectors its input populates.
 """
 
 from __future__ import annotations
@@ -25,16 +25,11 @@ __all__ = [
     "FockVector",
     "DensityMatrix",
     "InputMoments",
-    "number_operator",
-    "annihilation_operator",
     "squeezed_vacuum",
     "squeezed_dim",
     "thermal_state",
     "thermal_dim",
-    "beam_splitter",
     "beam_splitter_apply",
-    "tensor_product",
-    "partial_trace",
     "moments",
 ]
 
@@ -55,16 +50,6 @@ class TruncationError(ValueError):
 def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
-
-
-def _check_product_dims(dim_a, dim_b):
-    """Two register dimensions whose product fits under MAX_PRODUCT_DIM."""
-    _check_dim(dim_a)
-    _check_dim(dim_b)
-    if dim_a * dim_b > MAX_PRODUCT_DIM:
-        raise TruncationError(
-            f"product dimension {dim_a * dim_b} exceeds the cap {MAX_PRODUCT_DIM}"
-        )
 
 
 @dataclass(frozen=True)
@@ -129,25 +114,8 @@ class InputMoments:
     var_n: float
 
     def __post_init__(self):
-        if not self.mean_n >= 0.0:
-            raise ValueError("mean_n must be nonnegative")
-        if not self.var_n >= 0.0:
-            raise ValueError("var_n must be nonnegative")
-
-
-def number_operator(dim):
-    """diag(0, 1, ..., dim-1), the truncated n = a^dag a."""
-    _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float))
-
-
-def annihilation_operator(dim):
-    """Truncated a with entries a[k-1, k] = sqrt(k)."""
-    _check_dim(dim)
-    a = np.zeros((dim, dim), dtype=complex)
-    ks = np.arange(1, dim)
-    a[ks - 1, ks] = np.sqrt(ks)
-    return a
+        check_nonneg(self.mean_n, "mean_n")
+        check_nonneg(self.var_n, "var_n")
 
 
 def _squeezed_population_iter(r):
@@ -269,32 +237,21 @@ class _Sectors(dict):
 _sectors = functools.lru_cache(maxsize=32)(_Sectors)
 
 
-def beam_splitter(theta, dim_a, dim_b):
-    """exp(theta (a b^dag - a^dag b)) on the dim_a*dim_b product space.
-
-    Exponential of the anti-Hermitian truncated generator, assembled from
-    all its photon-number sector blocks, so the result is exactly unitary
-    (orthogonal, the generator is real) on the truncated space.
-    """
-    _check_product_dims(dim_a, dim_b)
-    sectors = _sectors(float(theta), int(dim_a), int(dim_b))
-    u = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    for total in range(dim_a + dim_b - 1):
-        idx, block = sectors[total]
-        u[np.ix_(idx, idx)] = block
-    return u
-
-
 def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
     """Apply the two-mode mixer to a joint pure-state vector.
 
-    Same map as beam_splitter(theta, dim_a, dim_b) @ joint_vec but works
-    sector by sector without materializing the full matrix.  Only the
-    sectors the input populates (the totals n + m of its nonzero entries)
-    are built and applied; the mixer conserves n + m, so every other
-    sector of the output is exactly zero.
+    The mixer is exp(theta (a b^dag - a^dag b)) on the dim_a*dim_b product
+    space, applied sector by sector without materializing the full matrix.
+    Only the sectors the input populates (the totals n + m of its nonzero
+    entries) are built and applied; the mixer conserves n + m, so every
+    other sector of the output is exactly zero.
     """
-    _check_product_dims(dim_a, dim_b)
+    _check_dim(dim_a)
+    _check_dim(dim_b)
+    if dim_a * dim_b > MAX_PRODUCT_DIM:
+        raise TruncationError(
+            f"product dimension {dim_a * dim_b} exceeds the cap {MAX_PRODUCT_DIM}"
+        )
     vec = np.asarray(joint_vec)
     if vec.shape != (dim_a * dim_b,):
         raise ValueError("joint_vec must have length dim_a * dim_b")
@@ -305,39 +262,6 @@ def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
         idx, block = sectors[total]
         out[idx] = block @ vec[idx]
     return out
-
-
-def tensor_product(a, b):
-    """Kronecker product of two operators."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("tensor_product expects two matrices")
-    return np.kron(a, b)
-
-
-def partial_trace(rho_ab, keep, dims):
-    """Trace out one register of a two-mode operator.
-
-    keep=0 keeps the first (dim_a) register, keep=1 the second.  rho_ab may
-    be any square array of shape (dim_a*dim_b, dim_a*dim_b).
-    """
-    dim_a, dim_b = dims
-    _check_dim(dim_a)
-    _check_dim(dim_b)
-    rho = np.asarray(rho_ab, dtype=complex)
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(
-            f"shape {rho.shape} does not match product dims ({dim_a}, {dim_b})"
-        )
-    four = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == 0:
-        out = np.einsum("ijkj->ik", four)
-    elif keep == 1:
-        out = np.einsum("ijil->jl", four)
-    else:
-        raise ValueError("keep must be 0 (first register) or 1 (second)")
-    return DensityMatrix(out.shape[0], out)
 
 
 def moments(state):

@@ -1,9 +1,8 @@
 """Brute-force Fisher information on truncated Fock spaces.
 
 Exact quantum Fisher information of a phase-covariant channel output by
-eigendecomposition of the state, classical Fisher information of a scalar
-readout by error propagation, and a finite-difference Newton minimizer for
-the raw variational costs.  These are the ground-truth routes the closed
+eigendecomposition of the state, and a finite-difference Newton minimizer
+for the raw variational costs.  These are the ground-truth routes the closed
 forms in bounds are validated against, so nothing here shares code with them.
 """
 
@@ -17,7 +16,6 @@ from .numerics import OptimizationError
 
 __all__ = [
     "qfi_phase_covariant",
-    "classical_fisher_error_propagation",
     "minimize_raw_cq",
     "oracle_dim",
     "squeezed_probe_qfi",
@@ -42,17 +40,6 @@ def qfi_phase_covariant(rho, support_cutoff=1e-11):
     pair_sums = np.add.outer(w, w)
     mask = pair_sums > support_cutoff * float(w.max())
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / pair_sums[mask]))
-
-
-def classical_fisher_error_propagation(mean_M, var_M, dmean_dphi):
-    """Fisher information (d<M>/dphi)^2 / Var M of a scalar readout.
-
-    mean_M is accepted so callers can hand over the full moment triple of a
-    working point; only the variance and the mean's derivative enter.
-    """
-    if not var_M > 0.0:
-        raise ValueError("degenerate measurement: var_M must be positive")
-    return dmean_dphi**2 / var_M
 
 
 def _fd_gradient(f, x, scale=1e-4):

@@ -5,12 +5,16 @@ doubles as the sign-off sheet; tolerances and time limits are stated in
 the detail strings.
 """
 
+import csv
+import io
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from varqfi.bounds import (
     cq_min_loss_diffusion,
@@ -274,13 +278,16 @@ def test_scaling_exponent_algebra():
     )
 
 
-def test_cli_determinism(tmp_path):
+@pytest.fixture(scope="module")
+def figure_csvs(tmp_path_factory):
+    """Each figure's CSV bytes from two separate runs of the CLI."""
     commands = {
         "fig1": ["fig1"],
         "fig2": ["fig2", "--with-oracle"],
         "fig3": ["fig3"],
     }
-    identical = []
+    tmp_path = tmp_path_factory.mktemp("figures")
+    csvs = {}
     for name, argv in commands.items():
         blobs = []
         for tag in ("a", "b"):
@@ -292,10 +299,37 @@ def test_cli_determinism(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append(path.read_bytes())
-        identical.append(blobs[0] == blobs[1])
+        csvs[name] = blobs
+    return csvs
+
+
+def test_cli_determinism(figure_csvs):
+    identical = [a == b for a, b in figure_csvs.values()]
     ok = all(identical)
     _verdict(
         "csv-determinism",
         ok,
         "repeated runs byte-identical: fig1 %s, fig2 %s, fig3 %s" % tuple(identical),
     )
+
+
+def _cells_differ(got, want):
+    # empty cells and text must match exactly, numbers to 1e-10 relative
+    if got == want:
+        return False
+    try:
+        return not abs(float(got) - float(want)) <= 1e-10 * abs(float(want))
+    except ValueError:
+        return True
+
+
+def test_figure_csvs_match_golden_tables(figure_csvs):
+    # tests/golden holds the fig1, fig2 --with-oracle and fig3 tables
+    for name, (blob, _) in figure_csvs.items():
+        got = list(csv.reader(io.StringIO(blob.decode())))
+        golden = Path(__file__).parent / "golden" / ("%s.csv" % name)
+        want = list(csv.reader(io.StringIO(golden.read_text())))
+        assert len(got) == len(want), name
+        for row, (g, w) in enumerate(zip(got, want)):
+            bad = [(c, x, y) for c, (x, y) in enumerate(zip(g, w)) if _cells_differ(x, y)]
+            assert len(g) == len(w) and not bad, (name, row, g, w)

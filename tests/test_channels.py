@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from varqfi.channels import (
-    lossy_thermal_channel,
     lossy_thermal_channel_pure,
     phase_diffusion,
     phase_diffusion_by_quadrature,
     phase_shift,
 )
 from varqfi.fock_core import (
+    DensityMatrix,
     FockVector,
     TruncationError,
     moments,
@@ -28,9 +29,25 @@ def _random_density(dim, seed):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    from varqfi.fock_core import DensityMatrix
-
     return DensityMatrix(dim, rho)
+
+
+def _random_probe(dim, seed):
+    # a generic random probe fills odd and even levels, so every sector is used
+    rng = np.random.default_rng(seed)
+    return FockVector(dim, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def _loss_mixed(rho, eta, n_T, bath_dim):
+    # the channel is linear: push each eigenvector of rho through the pure
+    # route and sum the outputs with the eigenvalues as weights
+    w, vecs = np.linalg.eigh(rho.elems)
+    out = sum(
+        p * lossy_thermal_channel_pure(FockVector(rho.dim, v), eta, n_T, bath_dim).elems
+        for p, v in zip(w, vecs.T)
+        if p != 0.0
+    )
+    return DensityMatrix(rho.dim, out)
 
 
 def test_phase_shift_entrywise():
@@ -49,19 +66,16 @@ def test_phase_shift_entrywise():
 
 
 def test_loss_eta_one_is_identity():
-    rho = _random_density(8, 1)
-    out = lossy_thermal_channel(rho, 1.0, 0.7, thermal_dim(0.7))
-    assert np.max(np.abs(out.elems - rho.elems)) == 0.0
+    psi = _random_probe(8, 1)
+    out = lossy_thermal_channel_pure(psi, 1.0, 0.7, thermal_dim(0.7))
+    assert np.max(np.abs(out.elems - psi.density().elems)) == 0.0
 
 
 def test_loss_vacuum_input_thermalizes():
-    vac = np.zeros((10, 10))
-    vac[0, 0] = 1.0
-    from varqfi.fock_core import DensityMatrix
-
-    rho = DensityMatrix(10, vac)
+    vac = np.zeros(10)
+    vac[0] = 1.0
     n_T = 0.6
-    out = lossy_thermal_channel(rho, 0.7, n_T, thermal_dim(n_T))
+    out = lossy_thermal_channel_pure(FockVector(10, vac), 0.7, n_T, thermal_dim(n_T))
     off = out.elems - np.diag(np.diag(out.elems))
     assert np.max(np.abs(off)) < 1e-12
     assert abs(moments(out).mean_n - 0.3 * n_T) < 1e-7
@@ -69,10 +83,9 @@ def test_loss_vacuum_input_thermalizes():
 
 def test_loss_energy_balance():
     psi = squeezed_vacuum(0.5, 25)
-    rho = psi.density()
     eta, n_T = 0.8, 0.5
-    out = lossy_thermal_channel(rho, eta, n_T, thermal_dim(n_T))
-    want = eta * moments(rho).mean_n + (1.0 - eta) * n_T
+    out = lossy_thermal_channel_pure(psi, eta, n_T, thermal_dim(n_T))
+    want = eta * moments(psi).mean_n + (1.0 - eta) * n_T
     assert abs(moments(out).mean_n - want) < 1e-6
 
 
@@ -80,23 +93,24 @@ def test_loss_thermal_fixed_point():
     n_T = 0.8
     dim = thermal_dim(n_T) + 20  # headroom so the truncated tail stays tiny
     rho = thermal_state(n_T, dim)
-    out = lossy_thermal_channel(rho, 0.6, n_T, dim)
+    out = _loss_mixed(rho, 0.6, n_T, dim)
     assert np.max(np.abs(out.elems - rho.elems)) < 1e-8
 
 
 def test_loss_bath_truncation_guard():
-    rho = squeezed_vacuum(0.3, 13).density()
+    psi = squeezed_vacuum(0.3, 13)
     with pytest.raises(TruncationError):
-        lossy_thermal_channel(rho, 0.8, 0.5, 4)
+        lossy_thermal_channel_pure(psi, 0.8, 0.5, 4)
 
 
 def test_pure_route_matches_dense_route():
+    # the dense route is the textbook construction in tests/reference.py
     psi = squeezed_vacuum(0.5, 21)
     eta, n_T = 0.8, 0.5
     bath = thermal_dim(n_T)
-    dense = lossy_thermal_channel(psi.density(), eta, n_T, bath)
+    dense = reference.lossy_thermal(psi.density().elems, eta, n_T, bath)
     pure = lossy_thermal_channel_pure(psi, eta, n_T, bath)
-    assert np.max(np.abs(dense.elems - pure.elems)) < 1e-12
+    assert np.max(np.abs(dense - pure.elems)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,36 +122,52 @@ def test_pure_route_matches_dense_route():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pure_route_matches_dense_route_on_random_probes(dim, eta, n_T, extra, seed):
-    # a generic random probe fills odd and even levels, so every sector is used
-    rng = np.random.default_rng(seed)
-    psi = FockVector(dim, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    psi = _random_probe(dim, seed)
     bath = thermal_dim(n_T) + extra
-    dense = lossy_thermal_channel(psi.density(), eta, n_T, bath)
+    dense = reference.lossy_thermal(psi.density().elems, eta, n_T, bath)
     pure = lossy_thermal_channel_pure(psi, eta, n_T, bath)
-    assert np.max(np.abs(dense.elems - pure.elems)) < 1e-12
+    assert np.max(np.abs(dense - pure.elems)) < 1e-12
 
 
 def test_phase_covariance_of_loss():
     rho = _random_density(9, 2)
     phi = 0.31
-    a = lossy_thermal_channel(phase_shift(rho, phi), 0.7, 0.4, thermal_dim(0.4))
-    b = phase_shift(lossy_thermal_channel(rho, 0.7, 0.4, thermal_dim(0.4)), phi)
+    a = _loss_mixed(phase_shift(rho, phi), 0.7, 0.4, thermal_dim(0.4))
+    b = phase_shift(_loss_mixed(rho, 0.7, 0.4, thermal_dim(0.4)), phi)
     assert np.max(np.abs(a.elems - b.elems)) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    eta=st.floats(0.05, 0.99),
+    n_T=st.just(0.0) | st.floats(0.01, 0.5),
+    phi=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pure_route_is_phase_covariant(dim, eta, n_T, phi, seed):
+    # qfi_phase_covariant takes d rho / d phi = -i [n, rho] on this premise
+    psi = _random_probe(dim, seed)
+    bath = thermal_dim(n_T)
+    shifted = FockVector(dim, np.exp(-1j * phi * np.arange(dim)) * psi.amps)
+    a = phase_shift(lossy_thermal_channel_pure(psi, eta, n_T, bath), phi)
+    b = lossy_thermal_channel_pure(shifted, eta, n_T, bath)
+    assert np.max(np.abs(a.elems - b.elems)) < 1e-12
 
 
 def test_loss_and_diffusion_commute():
     rho = _random_density(9, 3)
     eta, n_T, lam = 0.7, 0.4, 0.2
     bath = thermal_dim(n_T)
-    a = phase_diffusion(lossy_thermal_channel(rho, eta, n_T, bath), lam)
-    b = lossy_thermal_channel(phase_diffusion(rho, lam), eta, n_T, bath)
+    a = phase_diffusion(_loss_mixed(rho, eta, n_T, bath), lam)
+    b = _loss_mixed(phase_diffusion(rho, lam), eta, n_T, bath)
     assert np.max(np.abs(a.elems - b.elems)) < 1e-8
 
 
 def test_output_positivity_on_random_inputs():
     for seed in range(5):
         rho = _random_density(8, 10 + seed)
-        out = lossy_thermal_channel(rho, 0.65, 0.3, thermal_dim(0.3))
+        out = _loss_mixed(rho, 0.65, 0.3, thermal_dim(0.3))
         out = phase_diffusion(out, 0.15)
         assert np.linalg.eigvalsh(out.elems).min() >= -1e-8
 
@@ -158,7 +188,7 @@ def test_phase_diffusion_entrywise():
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
 def test_diffusion_matches_gaussian_phase_average(lam):
     # dual route: adaptive quadrature over the Gaussian phase ensemble
-    rho = lossy_thermal_channel(squeezed_vacuum(0.5, 21).density(), 0.8, 0.0, 2)
+    rho = lossy_thermal_channel_pure(squeezed_vacuum(0.5, 21), 0.8, 0.0, 2)
     direct = phase_diffusion(rho, lam)
     averaged = phase_diffusion_by_quadrature(rho, lam)
     assert np.max(np.abs(direct.elems - averaged.elems)) < 1e-8

@@ -357,7 +357,7 @@ def test_unwritable_output_is_misuse(tmp_path, capsys):
     code, _, err = _run(capsys, *grid, "--out", str(out), "--plot", missing)
     assert code == 2
     assert "cannot write" in err
-    assert out.read_text().startswith("flux_N,")
+    assert not out.exists()
 
 
 def test_outputs_refused_before_any_row(tmp_path, capsys, monkeypatch):
@@ -381,6 +381,13 @@ def test_outputs_refused_before_any_row(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, "fig3", "--out", str(tmp_path))
     assert (code, out) == (2, "")
     assert "is a directory" in err
+
+    csv = tmp_path / "ok.csv"
+    for plot in (missing, tmp_path):
+        code, out, err = _run(capsys, "fig3", "--out", str(csv), "--plot", str(plot))
+        assert (code, out) == (2, "")
+        assert "cannot write" in err
+        assert not csv.exists()
 
 
 def test_bad_grid_specs(capsys):

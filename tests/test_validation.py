@@ -22,7 +22,6 @@ from varqfi.bounds import (
     raw_cq_loss_thermal,
 )
 from varqfi.channels import (
-    lossy_thermal_channel,
     lossy_thermal_channel_pure,
     phase_diffusion,
     phase_diffusion_by_quadrature,
@@ -73,8 +72,6 @@ ENTRY_POINTS = [
     ("raw_thermal:n_T", "nonneg", lambda x: raw_cq_loss_thermal(M, 0.8, x, 0, 0, 0)),
     ("raw_diffusion:eta", "eta", lambda x: raw_cq_loss_diffusion(M, x, 0.1, 0, 0)),
     ("raw_diffusion:lam", "nonneg", lambda x: raw_cq_loss_diffusion(M, 0.8, x, 0, 0)),
-    ("loss_dense:eta", "eta", lambda x: lossy_thermal_channel(RHO, x, 0.0, 12)),
-    ("loss_dense:n_T", "nonneg", lambda x: lossy_thermal_channel(RHO, 0.8, x, 12)),
     ("loss_pure:eta", "eta", lambda x: lossy_thermal_channel_pure(PSI, x, 0.0, 12)),
     ("loss_pure:n_T", "nonneg", lambda x: lossy_thermal_channel_pure(PSI, 0.8, x, 12)),
     ("phase_diffusion:lam", "nonneg", lambda x: phase_diffusion(RHO, x)),
@@ -83,6 +80,8 @@ ENTRY_POINTS = [
     ("squeezed_vacuum:r", "nonneg", lambda x: squeezed_vacuum(x, 12)),
     ("thermal_dim:n_T", "nonneg", lambda x: thermal_dim(x)),
     ("thermal_state:n_T", "nonneg", lambda x: thermal_state(x, 12)),
+    ("InputMoments:mean_n", "nonneg", lambda x: InputMoments(x, 1.0)),
+    ("InputMoments:var_n", "nonneg", lambda x: InputMoments(1.0, x)),
     ("oracle:r", "nonneg", lambda x: squeezed_probe_qfi(x, 0.8)),
     ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
     ("oracle:n_T", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
