@@ -34,7 +34,6 @@ from .fock_core import (
     squeezed_dim,
     squeezed_vacuum,
     thermal_dim,
-    thermal_state,
 )
 from .numerics import (
     AccuracyError,

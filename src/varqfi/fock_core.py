@@ -1,11 +1,12 @@
 """Dense states on truncated Fock spaces and the two-mode mixer.
 
-Single- and two-mode plumbing for the oracle: squeezed vacuum and thermal
-states, photon-number moments, and the beam splitter applied to a joint
-pure-state vector.  Dense numpy throughout; the two-mode product dimension
-is capped at 4096 so every matrix exponential stays desk-scale.  The beam
-splitter is exponentiated per photon-number sector; each sector block is
-built on first use, and beam_splitter_apply builds and applies only the
+Single- and two-mode plumbing for the oracle: squeezed vacuum states, the
+thermal truncation rule, photon-number moments, and the beam splitter
+applied to a joint pure-state vector.  Dense numpy throughout; the two-mode
+product dimension is capped at 4096, so no sector block exceeds 64 x 64.
+The beam splitter acts per photon-number sector; each sector block is
+built on first use from an eigenbasis cached per sector shape and shared
+by every transmission, and beam_splitter_apply builds and applies only the
 sectors its input populates.
 """
 
@@ -27,7 +28,6 @@ __all__ = [
     "InputMoments",
     "squeezed_vacuum",
     "squeezed_dim",
-    "thermal_state",
     "thermal_dim",
     "beam_splitter_apply",
     "moments",
@@ -185,13 +185,23 @@ def thermal_dim(n_T):
     return max(2, math.ceil(math.log(TAIL_MASS) / math.log(q)))
 
 
-def thermal_state(n_T, dim):
-    """Thermal (geometric) diagonal state renormalized on the truncated basis."""
-    check_nonneg(n_T, "n_T")
-    _check_dim(dim)
-    q = n_T / (n_T + 1.0)
-    w = q ** np.arange(dim, dtype=float)
-    return DensityMatrix(dim, np.diag(w / w.sum()).astype(complex))
+@functools.lru_cache(maxsize=1024)
+def _sector_basis(total, lo, hi):
+    """Eigenpairs of sector total's coupling matrix, mode a holding lo..hi.
+
+    The matrix S is real symmetric tridiagonal with the couplings
+    sqrt(n (total - n + 1)), n = lo+1..hi, on both off-diagonals; it
+    depends on the sector's shape alone, so one eigh serves every
+    transmission.  Row j of the eigenvectors is multiplied by
+    (-1)^(j // 2), the sign _Sectors needs.  Both arrays are read-only.
+    """
+    n = np.arange(lo + 1, hi + 1, dtype=float)
+    coup = np.sqrt(n * (total - n + 1.0))
+    vals, vecs = np.linalg.eigh(np.diag(coup, 1) + np.diag(coup, -1))
+    vecs *= (-1.0) ** (np.arange(hi - lo + 1) // 2)[:, None]
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
 
 
 class _Sectors(dict):
@@ -199,11 +209,16 @@ class _Sectors(dict):
 
     The generator theta (a b^dag - a^dag b) conserves the total photon
     number, so on the truncated product space it is block diagonal over
-    sectors of fixed total N.  Each sector block is a small real
-    antisymmetric tridiagonal matrix; exponentiating the blocks one by one
-    gives exactly the exponential of the full truncated generator at a tiny
-    fraction of the dense cost.  sectors[N] is the (flat indices,
-    orthogonal block) pair of sector N, both read-only.
+    sectors of fixed total N, and the blocks' exponentials together give
+    the exponential of the full truncated generator.  A sector's generator
+    is theta G with G real antisymmetric tridiagonal, and D^-1 G D = i S
+    for D = diag(i^j) and S the coupling matrix of _sector_basis.  With
+    S = V diag(lam) V^T, entry (j, l) of the block exp(theta G) is
+    Re(i^(j-l) sum_m V[j, m] V[l, m] exp(i theta lam_m)): a cosine sum
+    where j - l is even, a sine sum where it is odd.  The sign (-1)^(j // 2)
+    folded into row j of V absorbs the signs of i^(j-l), all but a minus
+    where j is odd and l even.  sectors[N] is the (flat indices, orthogonal
+    block) pair of sector N, both read-only.
     """
 
     def __init__(self, theta, dim_a, dim_b):
@@ -215,18 +230,11 @@ class _Sectors(dict):
         hi = min(total, self.dim_a - 1)
         ns = np.arange(lo, hi + 1)
         idx = ns * self.dim_b + (total - ns)
-        size = ns.size
-        if size == 1:
-            block = np.ones((1, 1))
-        else:
-            gen = np.zeros((size, size))
-            n = ns[1:].astype(float)
-            coup = self.theta * np.sqrt(n * (total - n + 1.0))
-            gen[np.arange(size - 1), np.arange(1, size)] = coup
-            gen[np.arange(1, size), np.arange(size - 1)] = -coup
-            import scipy.linalg  # here, so commands without the oracle never load scipy
-
-            block = scipy.linalg.expm(gen)
+        vals, vecs = _sector_basis(total, lo, hi)
+        block = (vecs * np.cos(self.theta * vals)) @ vecs.T
+        sin_part = (vecs * np.sin(self.theta * vals)) @ vecs.T
+        block[0::2, 1::2] = sin_part[0::2, 1::2]
+        block[1::2, 0::2] = -sin_part[1::2, 0::2]
         idx.setflags(write=False)
         block.setflags(write=False)
         self[total] = (idx, block)

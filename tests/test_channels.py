@@ -19,7 +19,6 @@ from varqfi.fock_core import (
     moments,
     squeezed_vacuum,
     thermal_dim,
-    thermal_state,
 )
 from varqfi.numerics import AccuracyError
 
@@ -92,7 +91,7 @@ def test_loss_energy_balance():
 def test_loss_thermal_fixed_point():
     n_T = 0.8
     dim = thermal_dim(n_T) + 20  # headroom so the truncated tail stays tiny
-    rho = thermal_state(n_T, dim)
+    rho = DensityMatrix(dim, reference.thermal(n_T, dim))
     out = _loss_mixed(rho, 0.6, n_T, dim)
     assert np.max(np.abs(out.elems - rho.elems)) < 1e-8
 

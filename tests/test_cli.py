@@ -505,6 +505,10 @@ def test_stdout_when_no_out(capsys):
     assert len(lines) == 3
 
 
+ORACLE_ARGV = ["oracle", "r=0.8", "eta=0.8", "nT=0.5", "lambda=0.1"]
+FIG2_ORACLE_ARGV = ["fig2", "--with-oracle", "--r-points", "3"]
+
+
 @pytest.mark.parametrize(
     "statement",
     [
@@ -512,11 +516,28 @@ def test_stdout_when_no_out(capsys):
         "varqfi.cli.main(['bound', 'eq16', 'mean_n=2', 'var_n=12', 'eta=0.5'])",
         "varqfi.cli.main(['fig1', '--n-points', '2'])",
         "varqfi.qfi_oracle.minimize_raw_cq(lambda x, y: x * x + y * y, (1.0, 2.0))",
+        "assert varqfi.cli.main(%r) == 0" % ORACLE_ARGV,
+        "assert varqfi.cli.main(%r) == 0" % FIG2_ORACLE_ARGV,
     ],
 )
 def test_light_commands_never_load_scipy(statement):
-    # only the oracle's sector blocks need scipy
+    # scipy is a test dependency only: no command loads it, the oracle included
     code = "import sys, varqfi.cli\n%s\nassert 'scipy' not in sys.modules" % statement
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_commands_run_without_scipy():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import varqfi.cli\n"
+        "assert varqfi.cli.main(%r) == 0\n"
+        "assert varqfi.cli.main(%r) == 0\n"
+    ) % (ORACLE_ARGV, FIG2_ORACLE_ARGV)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )

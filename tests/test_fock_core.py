@@ -17,7 +17,6 @@ from varqfi.fock_core import (
     squeezed_dim,
     squeezed_vacuum,
     thermal_dim,
-    thermal_state,
 )
 
 
@@ -88,31 +87,14 @@ def test_squeezed_vacuum_rejects_negative_r():
         squeezed_vacuum(-0.1, 10)
 
 
-def test_thermal_state_geometric():
-    rho = thermal_state(1.0, 60)
-    p = np.real(np.diag(rho.elems))
-    assert abs(p[1] / p[0] - 0.5) < 1e-9
-    assert abs(np.trace(rho.elems) - 1.0) < 1e-12
-    m = moments(rho)
-    assert abs(m.mean_n - 1.0) < 1e-7
-    assert abs(m.var_n - 2.0) < 1e-6  # n_T (n_T + 1)
-
-
-def test_thermal_state_zero_temperature():
-    rho = thermal_state(0.0, 3)
-    want = np.zeros((3, 3))
-    want[0, 0] = 1.0
-    assert np.max(np.abs(rho.elems - want)) == 0.0
-
-
 def test_thermal_dim_is_minimal():
     # smallest dim whose geometric tail stays under the default tail mass;
-    # thermal_state itself renormalizes on any dim without complaint
+    # the thermal state itself renormalizes on any dim without complaint
     for n_T in (0.5, 1.0, 2.0):
         d = thermal_dim(n_T)
         q = n_T / (n_T + 1.0)
         assert q**d <= 1e-8 < q ** (d - 1)
-        assert abs(np.trace(thermal_state(n_T, d - 1).elems) - 1.0) < 1e-14
+        assert abs(np.trace(reference.thermal(n_T, d - 1)) - 1.0) < 1e-14
 
 
 def test_beam_splitter_unitary_and_identity():
@@ -192,6 +174,50 @@ def test_beam_splitter_apply_visits_only_populated_sectors(
     u = reference.mixer(theta, da, db)
     assert np.max(np.abs(got - u @ vec)) < 1e-12
     assert not np.any(got[~populated])
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9, 2.5, -1.2])
+def test_full_sector_matches_binomial_amplitudes(theta):
+    # the mixer sends a^dag to a^dag cos + b^dag sin and b^dag to
+    # b^dag cos - a^dag sin, so |N,0> leaves onto |N-j, j> and |0,N> onto
+    # |j, N-j> with binomial amplitudes; N = 63 is the largest full sector
+    # under the cap
+    n = 63
+    j = np.arange(n + 1)
+    root_binom = np.sqrt([float(math.comb(n, k)) for k in j])
+    c, s = math.cos(theta), math.sin(theta)
+    for start, rows, cols, sin_sign in ((n, n - j, j, 1.0), (0, j, n - j, -1.0)):
+        vec = np.zeros(64 * 64)
+        vec[start * 64 + (n - start)] = 1.0
+        out = beam_splitter_apply(theta, vec, 64, 64).reshape(64, 64)
+        want = root_binom * c ** (n - j) * (sin_sign * s) ** j
+        assert np.max(np.abs(out[rows, cols] - want)) < 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi))
+def test_blocks_at_the_cap_are_orthogonal(theta):
+    sectors = fock_core._sectors(theta, 64, 64)
+    for total in range(127):
+        block = sectors[total][1]
+        assert np.max(np.abs(block @ block.T - np.eye(len(block)))) < 1e-13
+
+
+def test_sector_table_does_not_depend_on_build_history():
+    # a table built after another transmission's reuses its cached sector
+    # eigenbases, and must equal a table built from empty caches exactly
+    def table(theta):
+        sectors = fock_core._sectors(theta, 12, 9)
+        return [sectors[total][1] for total in range(12 + 9 - 1)]
+
+    fock_core._sectors.cache_clear()
+    fock_core._sector_basis.cache_clear()
+    cold = table(0.7)
+    fock_core._sectors.cache_clear()
+    fock_core._sector_basis.cache_clear()
+    table(-2.2)
+    warm = table(0.7)
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
 
 
 def test_beam_splitter_product_cap():

@@ -31,7 +31,6 @@ from varqfi.fock_core import (
     squeezed_dim,
     squeezed_vacuum,
     thermal_dim,
-    thermal_state,
 )
 from varqfi.qfi_oracle import squeezed_probe_qfi
 from varqfi.waveform import (
@@ -79,7 +78,6 @@ ENTRY_POINTS = [
     ("squeezed_dim:r", "nonneg", lambda x: squeezed_dim(x)),
     ("squeezed_vacuum:r", "nonneg", lambda x: squeezed_vacuum(x, 12)),
     ("thermal_dim:n_T", "nonneg", lambda x: thermal_dim(x)),
-    ("thermal_state:n_T", "nonneg", lambda x: thermal_state(x, 12)),
     ("InputMoments:mean_n", "nonneg", lambda x: InputMoments(x, 1.0)),
     ("InputMoments:var_n", "nonneg", lambda x: InputMoments(1.0, x)),
     ("oracle:r", "nonneg", lambda x: squeezed_probe_qfi(x, 0.8)),
