@@ -7,10 +7,9 @@ of the diffusion integral is provided as an independent cross-check route
 for the entrywise map; tests compare the two, they must never be merged.
 That route runs on the shared adaptive engine numerics.integrate, so it has
 a panel budget and raises AccuracyError when it cannot reach its tolerance.
-Each kick costs one exponential per level, the factor of entry (l, k) being
-the outer product exp(i phi l) exp(-i phi k), and only the upper triangle is
-integrated; the lower one is its conjugate, so the result is exactly
-Hermitian.
+A kick multiplies entry (l, k) by a factor that depends only on the offset
+l - k, so the route integrates one kick average per offset, dim values in
+all, and applies them to the state.
 """
 
 from __future__ import annotations
@@ -100,17 +99,18 @@ def phase_diffusion(rho, lam):
 def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     """Phase diffusion evaluated as a Gaussian average over phase kicks.
 
-    Integrates exp(-phi^2/(4 lam^2))/sqrt(4 pi lam^2) U(phi)^dag rho U(phi)
-    with the shared adaptive quadrature numerics.integrate, until the summed
-    error estimate bounds every part by abs_tol.  At each abscissa the kick
-    U(phi) = exp(-i phi n) takes one exponential per level, e = exp(i phi n),
-    and entry (l, k) is multiplied by the outer-product factor e_l conj(e_k)
-    (exactly 1 on the diagonal, as in phase_shift).  Only the upper triangle
-    k >= l is integrated, real and imaginary parts as one vector integral,
-    and the lower triangle is its conjugate, so the output is exactly
-    Hermitian; rho is read from its upper triangle and the real part of its
-    diagonal.  Mirrored entries have equal magnitudes, so the engine
-    subdivides as it would for the whole matrix.  The kick distribution has
+    Averages U(phi)^dag rho U(phi) over the kick density
+    w(phi) = exp(-phi^2/(4 lam^2))/sqrt(4 pi lam^2).  The kick
+    U(phi) = exp(-i phi n) multiplies entry (l, k) by exp(i phi (l - k)), so
+    the average multiplies it by the kick average of offset d = |l - k|,
+    c_d = integral of w(phi) cos(d phi) dphi: w is even and the window
+    symmetric, so the sine part is exactly zero.  The dim averages
+    c_0 ... c_{dim-1} are one vector integral on the shared adaptive
+    quadrature numerics.integrate, run until the summed error estimate
+    bounds each c_d by abs_tol; as |rho_lk| <= 1, that bounds every output
+    entry by abs_tol too.  rho is read from its strict upper triangle, that
+    triangle's conjugate and the real part of its diagonal, and the averages
+    are real, so the output is exactly Hermitian.  The kick distribution has
     standard deviation lam*sqrt(2), so the window spans 8 of those sigmas,
     leaving truncated Gaussian mass below 1e-14 (a [-8 lam, 8 lam] window
     would lose 1.5e-8 of the trace).  Raises AccuracyError when the panel
@@ -120,29 +120,19 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     check_nonneg(lam, "lam")
     if lam == 0.0:
         return DensityMatrix(rho.dim, rho.elems.copy())
-    dim = rho.dim
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam**2)
-    n = np.arange(dim)
-    rows, cols = np.triu_indices(dim)
-    on_diagonal = rows == cols
-    upper = rho.elems[rows, cols]
-    upper[on_diagonal] = upper[on_diagonal].real
+    offsets = np.arange(rho.dim)
 
     def integrand(phi):
-        # row j: weight(phi_j) * phase_shift(rho, -phi_j).elems, upper
-        # triangle as (re, im) pairs; the weight rides on the row factor
+        # row j: w(phi_j) cos(d phi_j) for every offset d
         weight = norm * np.exp(-(phi**2) / (4.0 * lam**2))
-        e = np.exp(1j * np.multiply.outer(phi, n))
-        factors = np.take(weight[:, None] * e, rows, axis=1)
-        factors *= np.take(e.conj(), cols, axis=1)
-        factors[:, on_diagonal] = weight[:, None]
-        return (upper * factors).view(float)
+        return weight[:, None] * np.cos(np.multiply.outer(phi, offsets))
 
     half_width = 8.0 * math.sqrt(2.0) * lam
-    total, _ = integrate(
+    kicks, _ = integrate(
         integrand, -half_width, half_width, rel_tol=0.0, abs_tol=abs_tol
     )
-    out = np.empty((dim, dim), dtype=complex)
-    out[cols, rows] = total.view(complex).conj()
-    out[rows, cols] = total.view(complex)
-    return DensityMatrix(dim, out)
+    upper = np.triu(rho.elems, 1)
+    hermitian = upper + upper.conj().T + np.diag(rho.elems.diagonal().real)
+    spread = np.abs(np.subtract.outer(offsets, offsets))
+    return DensityMatrix(rho.dim, hermitian * kicks[spread])

@@ -6,10 +6,11 @@ same inputs without sharing any formula.
 
 All integrands must be vectorized: they accept an ndarray of abscissae and
 return one value per abscissa, or one row of m values per abscissa for a
-vector-valued integral (the phase-diffusion average integrates a whole
-density matrix this way).  One globally adaptive Gauss-Kronrod engine serves
-both; a vector panel's error estimate is its largest entry of
-|Kronrod - Gauss|, so the tolerance bounds every entry of the result.
+vector-valued integral (the phase-diffusion average integrates its kick
+averages, one per photon-number offset, this way).  One globally adaptive
+Gauss-Kronrod engine serves both; a vector panel's error estimate is its
+largest entry of |Kronrod - Gauss|, so the tolerance bounds every entry of
+the result.
 """
 
 from __future__ import annotations
@@ -222,18 +223,16 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8, abs_tol=0.0, max_panels=20_000):
     """Integrate f over [a, infinity) via the substitution w = a + t/(1-t).
 
     The integrand must decay at least as w**(-p) with p > 1 for the
-    transformed integral to be proper.  Like integrate, f may return one
-    value or one row of values per abscissa.  Returns the value; accuracy
-    failures raise AccuracyError from the underlying finite-interval rule.
+    transformed integral to be proper.  f must return one value per
+    abscissa; a vector integrand is rejected with ValueError.  Returns the
+    value; accuracy failures raise AccuracyError from the underlying
+    finite-interval rule.
     """
 
     def transformed(t):
         t = np.asarray(t, dtype=float)
         comp = np.maximum(1.0 - t, 1e-17)
-        values = np.asarray(f(a + t / comp), dtype=float)
-        jac = comp**2
-        # a vector integrand's row j is scaled by abscissa j's Jacobian
-        return values / (jac if values.ndim == 1 else jac[:, None])
+        return np.asarray(f(a + t / comp), dtype=float).reshape(t.shape) / comp**2
 
     value, _ = integrate(
         transformed, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels

@@ -30,10 +30,10 @@ def qfi_phase_covariant(rho, support_cutoff=1e-11):
     finite-difference derivative is needed.  With rho = sum_i p_i |e_i><e_i|
     the value is 2 sum |<e_i| drho |e_j>|^2 / (p_i + p_j) over eigenpairs
     whose combined weight exceeds support_cutoff times the top eigenvalue.
+    rho is a DensityMatrix, whose construction already rejects a spectrum
+    below -1e-8.
     """
     w, vecs = np.linalg.eigh(rho.elems)
-    if float(w.min()) < -1e-8:
-        raise ValueError("invalid state: not positive semidefinite within tolerance")
     levels = np.arange(rho.dim)
     drho = -1j * np.subtract.outer(levels, levels) * rho.elems
     m = vecs.conj().T @ drho @ vecs

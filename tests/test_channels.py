@@ -198,14 +198,20 @@ def test_diffusion_matches_gaussian_phase_average(lam):
     dim=st.integers(2, 42),
     lam=st.floats(0.02, 0.5),
     seed=st.integers(0, 2**32 - 1),
+    tol_exponent=st.floats(-12.0, -6.0),
 )
-def test_quadrature_diffusion_on_random_states(dim, lam, seed):
+def test_quadrature_diffusion_on_random_states(dim, lam, seed, tol_exponent):
     rho = _random_density(dim, seed)
+    entrywise = phase_diffusion(rho, lam).elems
     out = phase_diffusion_by_quadrature(rho, lam).elems
-    assert np.max(np.abs(out - phase_diffusion(rho, lam).elems)) <= 1e-9
-    # the lower triangle is the conjugate of the integrated upper one
+    assert np.max(np.abs(out - entrywise)) <= 1e-9
+    # the lower triangle is the conjugate of the upper one
     assert np.array_equal(out, out.conj().T)
     assert abs(np.trace(out) - np.trace(rho.elems)) <= 1e-12
+    # abs_tol bounds each kick average and |rho_lk| <= 1, so it bounds every entry
+    abs_tol = 10.0**tol_exponent
+    out = phase_diffusion_by_quadrature(rho, lam, abs_tol=abs_tol).elems
+    assert np.max(np.abs(out - entrywise)) <= abs_tol
 
 
 def test_quadrature_diffusion_budget_raises():

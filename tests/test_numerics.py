@@ -83,15 +83,12 @@ def test_semi_infinite_known_values():
 
 
 @pytest.mark.parametrize("columns", [15, 2])
-def test_semi_infinite_vector_valued(columns):
-    # 15 columns matches the node count, where a mis-broadcast Jacobian would
+def test_semi_infinite_rejects_vector_integrand(columns):
+    # 15 columns matches the node count, where dividing by the Jacobian would
     # silently scale columns instead of rows
     rates = np.linspace(1.0, 3.0, columns)
-    value = integrate_semi_infinite(
-        lambda x: np.exp(-np.outer(x, rates)) * rates, 0.0, rel_tol=1e-12
-    )
-    assert value.shape == (columns,)
-    assert np.max(np.abs(value - 1.0)) < 1e-10
+    with pytest.raises(ValueError):
+        integrate_semi_infinite(lambda x: np.exp(-np.outer(x, rates)) * rates, 0.0)
 
 
 def test_semi_infinite_gaussian_tail():

@@ -51,18 +51,13 @@ def test_thermal_like_diagonal_gives_zero():
     assert qfi_phase_covariant(rho) < 1e-12
 
 
-class _Negative:
-    # DensityMatrix construction would reject this spectrum, so duck-type
-    # the fields to reach the oracle's own positivity check
-    dim = 2
-    elems = np.diag([1.2, -0.2])
-
-
 def test_invalid_state_rejected():
     rho = DensityMatrix(2, np.diag([1.0 - 1e-9, 1e-9]))
     qfi_phase_covariant(rho)  # within tolerance: fine
-    with pytest.raises(ValueError):
-        qfi_phase_covariant(_Negative())
+    # DensityMatrix is the one validation path: no state that reaches the
+    # oracle has a spectrum below -1e-8
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(2, np.diag([1.2, -0.2]))
 
 
 def test_qfi_invariant_under_phase_shift():
@@ -101,6 +96,22 @@ def test_oracle_route_imports_nothing_from_bounds(module):
         elif isinstance(node, ast.ImportFrom):
             imported += ["%s.%s" % (node.module, alias.name) for alias in node.names]
     assert not [name for name in imported if "bounds" in name.split(".")]
+
+
+def test_quadrature_route_never_names_the_entrywise_map():
+    # the kick averages come from integration alone, not from exp(-lam^2 d^2)
+    path = Path(varqfi.__file__).parent / "channels.py"
+    tree = ast.parse(path.read_text())
+    (func,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "phase_diffusion_by_quadrature"
+    ]
+    names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+    assert "integrate" in names
+    assert "phase_diffusion" not in names
 
 
 def test_oracle_matches_closed_form_spot():
