@@ -8,7 +8,6 @@ estimation.
 """
 
 from .bounds import (
-    GaussianAux,
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
     cq_min_loss_zero_T,

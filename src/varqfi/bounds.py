@@ -16,12 +16,10 @@ NaN throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numerics import check_eta, check_nonneg
 
 __all__ = [
-    "GaussianAux",
     "cq_min_loss_thermal",
     "cq_min_loss_zero_T",
     "exact_qfi_squeezed",
@@ -38,29 +36,20 @@ def _inv(x):
     return math.inf if x == 0.0 else 1.0 / x
 
 
-@dataclass(frozen=True)
-class GaussianAux:
-    """Effective Gaussian parameters of a squeezed probe after thermal loss.
+def _squeezed_aux(r, eta, n_T):
+    """u and w = 1 + v^2 - u^2 of a squeezed probe after thermal loss.
 
-    u = eta sinh 2r and v = eta cosh 2r + (1 - eta)(2 n_T + 1).  Physical
-    parameters always satisfy 1 + v^2 - u^2 > 0; construction enforces it.
+    u = eta sinh 2r and v = eta cosh 2r + (1 - eta)(2 n_T + 1).  w is
+    computed as 1 + (v - u)(v + u) with v - u = eta e^{-2r}
+    + (1 - eta)(2 n_T + 1): every term is nonnegative, so nothing cancels.
     """
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not 1.0 + self.v**2 - self.u**2 > 0.0:
-            raise ValueError("GaussianAux requires 1 + v^2 - u^2 > 0")
-
-    @classmethod
-    def from_params(cls, r, eta, n_T=0.0):
-        check_nonneg(r, "r")
-        check_eta(eta)
-        check_nonneg(n_T, "n_T")
-        u = eta * math.sinh(2.0 * r)
-        v = eta * math.cosh(2.0 * r) + (1.0 - eta) * (2.0 * n_T + 1.0)
-        return cls(u, v)
+    check_nonneg(r, "r")
+    check_eta(eta)
+    check_nonneg(n_T, "n_T")
+    u = eta * math.sinh(2.0 * r)
+    thermal = (1.0 - eta) * (2.0 * n_T + 1.0)
+    v = eta * math.cosh(2.0 * r) + thermal
+    return u, 1.0 + (eta * math.exp(-2.0 * r) + thermal) * (v + u)
 
 
 def _thermal_rate(mean_n, n_T):
@@ -102,9 +91,12 @@ def cq_min_loss_zero_T(m, eta):
 
 
 def exact_qfi_squeezed(r, eta, n_T):
-    """Exact phase QFI of a squeezed vacuum after loss: 4u^2/(1+v^2-u^2)."""
-    aux = GaussianAux.from_params(r, eta, n_T)
-    return 4.0 * aux.u**2 / (1.0 + aux.v**2 - aux.u**2)
+    """Exact phase QFI of a squeezed vacuum after loss: 4u^2/w.
+
+    w = 1 + v^2 - u^2 in the cancellation-free form of _squeezed_aux.
+    """
+    u, w = _squeezed_aux(r, eta, n_T)
+    return 4.0 * u**2 / w
 
 
 def cq_min_loss_diffusion(m, eta, lam):
@@ -132,18 +124,19 @@ def im_opt_squeezed(r, eta, lam):
 
     Error-propagation information of the number-quadratic observable
     i(a^2 - a^dag^2) on a squeezed vacuum after zero-temperature loss and
-    phase diffusion: 4 u^2 e^{-8 lam^2} / [1 + v^2 + u^2 (1 - 3 e^{-16
-    lam^2}) / 2].  The mean of the observable rides on second-order
+    phase diffusion: 4 u^2 e^{-8 lam^2} / [w - 1.5 u^2 expm1(-16 lam^2)],
+    with w = 1 + v^2 - u^2 from _squeezed_aux.  This is 4 u^2 e^{-8 lam^2}
+    / [1 + v^2 + u^2 (1 - 3 e^{-16 lam^2}) / 2] with a denominator of
+    nonnegative terms.  The mean of the observable rides on second-order
     coherences, damped by e^{-4 lam^2} and squared in the numerator; its
     variance picks up fourth-order coherences, damped by e^{-16 lam^2} in
     the denominator.  At lam = 0 it reduces to exact_qfi_squeezed(r, eta,
     0) identically.
     """
     check_nonneg(lam, "lam")
-    aux = GaussianAux.from_params(r, eta, 0.0)
-    num = 4.0 * aux.u**2 * math.exp(-8.0 * lam**2)
-    den = 1.0 + aux.v**2 + 0.5 * aux.u**2 * (1.0 - 3.0 * math.exp(-16.0 * lam**2))
-    return num / den
+    u, w = _squeezed_aux(r, eta, 0.0)
+    den = w - 1.5 * u**2 * math.expm1(-16.0 * lam**2)
+    return 4.0 * u**2 * math.exp(-8.0 * lam**2) / den
 
 
 def raw_cq_loss_thermal(m, eta, n_T, alpha, beta, gamma):

@@ -118,25 +118,33 @@ class InputMoments:
         check_nonneg(self.var_n, "var_n")
 
 
-def _squeezed_population_iter(r):
-    """Yields p_{2m} for m = 0, 1, ... of an untruncated squeezed vacuum."""
-    p = 1.0 / math.cosh(r)
-    t2 = math.tanh(r) ** 2
+def _squeezed_amplitudes(r):
+    """Yields a_0, a_2, a_4, ... of the untruncated squeezed vacuum.
+
+    a_{2m} = (tanh r)^m sqrt((2m)!)/(2^m m!)/sqrt(cosh r), by the recurrence
+    a_{2m+2} = a_{2m} tanh r sqrt((2m+1)/(2m+2)).
+    """
+    amp = 1.0 / math.sqrt(math.cosh(r))
+    t = math.tanh(r)
     m = 0
     while True:
-        yield p
-        p *= t2 * (2 * m + 1) / (2 * m + 2)
+        yield amp
+        amp *= t * math.sqrt((2 * m + 1) / (2 * m + 2))
         m += 1
 
 
 def squeezed_dim(r):
-    """Smallest dim holding all but TAIL_MASS of the squeezed vacuum."""
+    """Smallest dim holding all but TAIL_MASS of the squeezed vacuum.
+
+    Sums the squares of _squeezed_amplitudes, the same kept mass that
+    squeezed_vacuum checks, so squeezed_vacuum(r, squeezed_dim(r)) holds.
+    """
     check_nonneg(r, "r")
     if r == 0:
         return 2
     cum = 0.0
-    for m, p in enumerate(_squeezed_population_iter(r)):
-        cum += p
+    for m, amp in enumerate(_squeezed_amplitudes(r)):
+        cum += amp * amp
         if 1.0 - cum <= TAIL_MASS:
             return max(2, 2 * m + 1)
         if 2 * m + 1 > MAX_PRODUCT_DIM:
@@ -149,7 +157,7 @@ def squeezed_dim(r):
 def squeezed_vacuum(r, dim):
     """Squeezed vacuum on a truncated basis, real nonnegative amplitudes.
 
-    Even levels carry amplitude (tanh r)^m sqrt((2m)!)/(2^m m!)/sqrt(cosh r);
+    The even levels below dim carry the amplitudes of _squeezed_amplitudes;
     the overall sign convention is a free global phase (moments and QFI are
     blind to it).  Raises TruncationError when the discarded probability
     mass exceeds the truncation rule, suggesting an adequate dim.
@@ -157,15 +165,10 @@ def squeezed_vacuum(r, dim):
     check_nonneg(r, "r")
     _check_dim(dim)
     amps = np.zeros(dim, dtype=complex)
-    amp = 1.0 / math.sqrt(math.cosh(r))
-    t = math.tanh(r)
     kept = 0.0
-    m = 0
-    while 2 * m < dim:
-        amps[2 * m] = amp
+    for n, amp in zip(range(0, dim, 2), _squeezed_amplitudes(r)):
+        amps[n] = amp
         kept += amp * amp
-        amp *= t * math.sqrt((2 * m + 1) / (2 * m + 2))
-        m += 1
     discarded = max(1.0 - kept, 0.0)
     if discarded > TAIL_MASS:
         raise TruncationError(

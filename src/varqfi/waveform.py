@@ -43,12 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriorSpectrum:
-    """Prior phase power spectrum, power-law or Lorentzian.
+    """Prior phase power spectrum kappa^(p-1)/(lambda_c^2 + |omega|^p).
 
-    With lambda_c = 0 the spectrum is kappa^(p-1)/|omega|^p; a positive
-    lambda_c selects the Lorentzian kappa/(lambda_c^2 + omega^2), which is
-    the p = 2 power law regularized at low frequency, so lambda_c > 0
-    demands p = 2.  kappa carries rad^2 Hz^(p-1), lambda_c rad/s.
+    lambda_c = 0 gives the power law kappa^(p-1)/|omega|^p; a positive
+    lambda_c gives the Lorentzian kappa/(lambda_c^2 + omega^2), the p = 2
+    power law regularized at low frequency, so lambda_c > 0 demands p = 2.
+    kappa carries rad^2 Hz^(p-1), lambda_c rad/s.
     """
 
     kappa: float
@@ -65,33 +65,44 @@ class PriorSpectrum:
             raise ValueError("a Lorentzian prior (lambda_c > 0) requires p = 2")
 
     def spectrum(self, omega):
-        """Phase power spectral density at omega (vectorized)."""
-        if self.lambda_c > 0.0:
-            return self.kappa / (self.lambda_c**2 + np.asarray(omega) ** 2)
-        return self.kappa ** (self.p - 1.0) / np.abs(omega) ** self.p
+        """Phase power spectral density at omega, 1/info_deficit (vectorized)."""
+        return 1.0 / self.info_deficit(omega)
 
     def info_deficit(self, omega):
-        """Reciprocal spectrum |omega|^p/kappa^(p-1), finite at omega = 0."""
-        if self.lambda_c > 0.0:
-            return (self.lambda_c**2 + np.asarray(omega) ** 2) / self.kappa
-        return np.abs(omega) ** self.p / self.kappa ** (self.p - 1.0)
+        """Reciprocal spectrum (lambda_c^2 + |omega|^p)/kappa^(p-1).
+
+        Finite at omega = 0 for both priors; vectorized over omega.
+        """
+        scale = self.kappa ** (self.p - 1.0)
+        return (self.lambda_c**2 + np.abs(omega) ** self.p) / scale
 
 
-def solve_gamma(R_plus, flux_N):
-    """Cavity decay rate that yields the requested total photon flux.
+def _pump_and_rate(R_plus, flux_N):
+    """Pump amplitude x and cavity decay rate gamma of an OPO beam.
 
-    gamma = 16 N / [(R+ - 1)(1 - x) + (R- - 1)(1 + x)] with R- = 1/R+ and
-    x = (sqrt(R+) - 1)/(sqrt(R+) + 1).  The bracket simplifies to
-    2 (sqrt(R+) - 1)^2 / sqrt(R+), positive for every R+ > 1.
+    g = sqrt(R+) - 1 is computed as (R+ - 1)/(sqrt(R+) + 1), which keeps its
+    relative precision as R+ -> 1; then x = g/(sqrt(R+) + 1) and
+    gamma = 16 N sqrt(R+)/(2 g^2).
     """
     if not R_plus > 1.0:
         raise ValueError("R_plus must exceed 1")
     if not flux_N > 0.0:
         raise ValueError("flux_N must be positive")
     root = math.sqrt(R_plus)
-    x = (root - 1.0) / (root + 1.0)
-    bracket = (R_plus - 1.0) * (1.0 - x) + (1.0 / R_plus - 1.0) * (1.0 + x)
-    return 16.0 * flux_N / bracket
+    g = (R_plus - 1.0) / (root + 1.0)
+    return g / (root + 1.0), 16.0 * flux_N * root / (2.0 * g * g)
+
+
+def solve_gamma(R_plus, flux_N):
+    """Cavity decay rate that yields the requested total photon flux.
+
+    The flux equation gamma = 16 N / [(R+ - 1)(1 - x) + (R- - 1)(1 + x)],
+    with R- = 1/R+ and x = (sqrt(R+) - 1)/(sqrt(R+) + 1), has the bracket
+    2 (sqrt(R+) - 1)^2 / sqrt(R+).  gamma = 16 N sqrt(R+)/(2 g^2) with the
+    cancellation-free g = sqrt(R+) - 1 of _pump_and_rate is computed: finite
+    and positive for every R+ > 1.
+    """
+    return _pump_and_rate(R_plus, flux_N)[1]
 
 
 @dataclass(frozen=True)
@@ -99,9 +110,9 @@ class OpoSpectrumModel:
     """OPO squeezed vacuum: anti-squeezing level R_plus and photon flux.
 
     R_minus = 1/R_plus, the normalized pump amplitude
-    x = (sqrt(R+) - 1)/(sqrt(R+) + 1), and the cavity decay rate solving
-    the flux equation are derived at construction; the flux round trip is
-    verified to 1e-10 relative.
+    x = (sqrt(R+) - 1)/(sqrt(R+) + 1) and the cavity decay rate of
+    solve_gamma are derived at construction, finite and positive for
+    every R_plus > 1.
     """
 
     R_plus: float
@@ -111,17 +122,10 @@ class OpoSpectrumModel:
     gamma_cavity: float = field(init=False)
 
     def __post_init__(self):
-        gamma = solve_gamma(self.R_plus, self.flux_N)
-        root = math.sqrt(self.R_plus)
-        x = (root - 1.0) / (root + 1.0)
-        r_minus = 1.0 / self.R_plus
-        object.__setattr__(self, "R_minus", r_minus)
+        x, gamma = _pump_and_rate(self.R_plus, self.flux_N)
+        object.__setattr__(self, "R_minus", 1.0 / self.R_plus)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "gamma_cavity", gamma)
-        bracket = (self.R_plus - 1.0) * (1.0 - x) + (r_minus - 1.0) * (1.0 + x)
-        back = gamma * bracket / 16.0
-        if abs(back - self.flux_N) > 1e-10 * self.flux_N:
-            raise ValueError("flux equation round trip failed")
 
 
 @dataclass(frozen=True)
@@ -172,14 +176,12 @@ def _positive_knots(prior, model, params):
     knots = [
         (1.0 - model.x) * model.gamma_cavity,
         (1.0 + model.x) * model.gamma_cavity,
+        prior.lambda_c,
     ]
-    if prior.lambda_c > 0.0:
-        knots.append(prior.lambda_c)
-        for cq in plateaus:
-            knots.append(math.sqrt(max(prior.kappa * cq - prior.lambda_c**2, 0.0)))
-    else:
-        for cq in plateaus:
-            knots.append((prior.kappa ** (prior.p - 1.0) * cq) ** (1.0 / prior.p))
+    # where info_deficit crosses each plateau
+    scale = prior.kappa ** (prior.p - 1.0)
+    for cq in plateaus:
+        knots.append(max(scale * cq - prior.lambda_c**2, 0.0) ** (1.0 / prior.p))
     return sorted({k for k in knots if k > 0.0})
 
 

@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varqfi.bounds import (
-    GaussianAux,
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
     cq_min_loss_zero_T,
@@ -22,16 +22,6 @@ from varqfi.qfi_oracle import minimize_raw_cq
 
 def _squeezed(mean_n):
     return InputMoments(mean_n, 2.0 * mean_n * (mean_n + 1.0))
-
-
-def test_gaussian_aux():
-    aux = GaussianAux.from_params(0.5, 0.8, 0.5)
-    assert abs(aux.u - 0.8 * math.sinh(1.0)) < 1e-14
-    assert abs(aux.v - (0.8 * math.cosh(1.0) + 0.2 * 2.0)) < 1e-14
-    with pytest.raises(ValueError):
-        GaussianAux(10.0, 1.0)  # 1 + v^2 - u^2 < 0
-    with pytest.raises(ValueError):
-        GaussianAux.from_params(-0.1, 1.0)
 
 
 def test_thermal_bound_worked_example():
@@ -80,6 +70,30 @@ def test_exact_qfi_squeezed():
     assert abs(got - 2.0 * math.sinh(2.0 * r) ** 2) < 1e-12
     mean = math.sinh(r) ** 2
     assert abs(got - 4.0 * 2.0 * mean * (mean + 1.0)) < 1e-9
+    # the lossless closed form holds to rounding up to strong squeezing
+    for r in np.linspace(0.0, 20.0, 81):
+        want = 2.0 * math.sinh(2.0 * r) ** 2
+        assert abs(exact_qfi_squeezed(float(r), 1.0, 0.0) - want) <= 1e-14 * want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.floats(0.0, 20.0),
+    eta=st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0),
+    n_T=st.floats(0.0, 100.0),
+)
+@example(r=10.0, eta=1.0, n_T=0.0)
+@example(r=20.0, eta=0.999, n_T=0.0)
+def test_exact_qfi_squeezed_matches_mpmath(r, eta, n_T):
+    # 4u^2/(1 + v^2 - u^2) at 50 digits from the same float inputs
+    with mpmath.workdps(50):
+        two_r, e, t = 2 * mpmath.mpf(r), mpmath.mpf(eta), mpmath.mpf(n_T)
+        u = e * mpmath.sinh(two_r)
+        v = e * mpmath.cosh(two_r) + (1 - e) * (2 * t + 1)
+        want = float(4 * u**2 / (1 + v**2 - u**2))
+    got = exact_qfi_squeezed(r, eta, n_T)
+    # the absolute term only admits results that underflow to subnormals
+    assert abs(got - want) <= 1e-13 * want + 1e-300
 
 
 def test_bound_dominates_exact_qfi():

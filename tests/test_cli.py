@@ -43,6 +43,12 @@ def test_bound_worked_examples(capsys):
     assert code == 0
     assert out == "eq17 r=0 eta=0.9 nT=0 value=0\n"
 
+    # strong squeezing: 1 + v^2 - u^2 = 1.97 must not cancel away
+    for name, tail in (("eq17", "nT=0"), ("eq25", "lambda=0")):
+        code, out, err = _run(capsys, "bound", name, "r=10")
+        assert code == 0, err
+        assert out == "%s r=10 eta=1 %s value=1.17692633419e+17\n" % (name, tail)
+
 
 def test_bound_defaults_fill_in(capsys):
     code, out, _ = _run(capsys, "bound", "eq21", "mean_n=1", "var_n=4")
@@ -303,6 +309,19 @@ def test_fig3_small_grid(tmp_path, capsys):
         assert float(ll[0]) == float(lo[0])
         assert float(lo[2]) >= float(ll[2])  # losses blur the error floor
         assert float(ll[3]) == 1.0  # lossless curve pins beta
+
+
+def test_fig3_flux_at_unit_anti_squeezing(tmp_path, capsys):
+    # N = 2^-12 puts R+ = 16 N^(1/3) within an ulp or two of 1
+    out = tmp_path / "fig3.csv"
+    code, _, _ = _run(
+        capsys, "fig3", "--out", str(out), "--n-min", "2.44140625e-4",
+        "--n-max", "1", "--n-points", "2", "--eta-list", "0.95",
+    )
+    assert code == 0
+    _, rows = _read_csv(out)
+    assert [float(row[0]) for row in rows] == [2.0**-12, 1.0]
+    assert rows[1][4] == "" and float(rows[1][2]) > 0.0
 
 
 def test_plot_requires_out(tmp_path, capsys):

@@ -11,7 +11,6 @@ import math
 import pytest
 
 from varqfi.bounds import (
-    GaussianAux,
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
     cq_min_loss_zero_T,
@@ -50,9 +49,6 @@ MODEL = OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
 
 # (entry point:parameter, kind of parameter, the call with it set to x)
 ENTRY_POINTS = [
-    ("GaussianAux:r", "nonneg", lambda x: GaussianAux.from_params(x, 0.8)),
-    ("GaussianAux:eta", "eta", lambda x: GaussianAux.from_params(0.5, x)),
-    ("GaussianAux:n_T", "nonneg", lambda x: GaussianAux.from_params(0.5, 0.8, x)),
     ("eq15:eta", "eta", lambda x: cq_min_loss_thermal(M, x, 0.5)),
     ("eq15:n_T", "nonneg", lambda x: cq_min_loss_thermal(M, 0.8, x)),
     ("eq16:eta", "eta", lambda x: cq_min_loss_zero_T(M, x)),

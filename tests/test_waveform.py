@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varqfi.numerics import integrate, integrate_semi_infinite, loglog_slope
 from varqfi.waveform import (
@@ -47,6 +50,22 @@ def test_prior_spectrum_values():
     assert np.array_equal(s[:2], s[:1:-1])  # even in omega
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
+    p=st.floats(1.0, 6.0, exclude_min=True),
+    lambda_c=st.floats(0.0, 100.0),
+    omega=st.floats(-1e4, 1e4),
+)
+def test_info_deficit_is_the_textbook_form(kappa, p, lambda_c, omega):
+    lorentz = float(PriorSpectrum(kappa, 2.0, lambda_c).info_deficit(omega))
+    want = (lambda_c**2 + omega**2) / kappa
+    assert abs(lorentz - want) <= math.ulp(want)
+    power = float(PriorSpectrum(kappa, p).info_deficit(omega))
+    want = abs(omega) ** p / kappa ** (p - 1.0)
+    assert abs(power - want) <= math.ulp(want)
+
+
 def test_solve_gamma_worked_example():
     # R+ = 16: x = 3/5, bracket = 15*0.4 + (1/16 - 1)*1.6 = 4.5
     for flux in (1.0, 2.5, 1e6):
@@ -54,13 +73,32 @@ def test_solve_gamma_worked_example():
 
 
 def test_solve_gamma_bracket_simplification():
-    # (R+ - 1)(1 - x) + (R- - 1)(1 + x) = 2 (sqrt(R+) - 1)^2 / sqrt(R+)
+    # (R+ - 1)(1 - x) + (R- - 1)(1 + x) = 2 (sqrt(R+) - 1)^2 / sqrt(R+),
+    # the simplified bracket taken at 50 digits: in floats sqrt(R+) - 1
+    # cancels as R+ -> 1
     rng = np.random.default_rng(3)
-    for r_plus in 1.0 + rng.uniform(1e-3, 50.0, size=20):
-        root = math.sqrt(r_plus)
-        simplified = 2.0 * (root - 1.0) ** 2 / root
+    for r_plus in 1.0 + 10.0 ** rng.uniform(-12.0, math.log10(50.0), size=20):
+        with mpmath.workdps(50):
+            root = mpmath.sqrt(mpmath.mpf(r_plus))
+            simplified = float(2 * (root - 1) ** 2 / root)
         got = solve_gamma(r_plus, 7.0)
         assert abs(got - 16.0 * 7.0 / simplified) < 1e-10 * got
+
+
+@settings(max_examples=200, deadline=None)
+@given(r_plus=st.floats(-15.0, 6.0).map(lambda u: 1.0 + 10.0**u))
+@example(r_plus=1.0 + 2.0**-52)
+@example(r_plus=1.0 + 2.0**-51)
+@example(r_plus=1.0 + 1e-4)
+def test_solve_gamma_matches_mpmath(r_plus):
+    # the flux equation's own bracket at 50 digits, from the same float R+
+    with mpmath.workdps(50):
+        rp = mpmath.mpf(r_plus)
+        x = (mpmath.sqrt(rp) - 1) / (mpmath.sqrt(rp) + 1)
+        bracket = (rp - 1) * (1 - x) + (1 / rp - 1) * (1 + x)
+        want = float(16 * 7 / bracket)
+    got = solve_gamma(r_plus, 7.0)
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_solve_gamma_linear_in_flux():
@@ -92,6 +130,11 @@ def test_opo_model_derived_fields():
         m = OpoSpectrumModel(1.0 + rng.uniform(0.01, 100.0), rng.uniform(0.1, 1e8))
         assert abs(m.R_plus * m.R_minus - 1.0) < 1e-12
         assert 0.0 < m.x < 1.0
+
+    # one ulp above R+ = 1 the cavity rate is huge but finite and positive
+    m = OpoSpectrumModel(1.0 + 2.0**-52, 1.0)
+    assert 0.0 < m.gamma_cavity < math.inf
+    assert 0.0 < m.x < 1e-15
 
 
 def test_opo_model_rejects_bad_parameters():
