@@ -8,6 +8,8 @@ forms in bounds are validated against, so nothing here shares code with them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import lossy_thermal_channel_pure, phase_diffusion
@@ -42,50 +44,53 @@ def qfi_phase_covariant(rho, support_cutoff=1e-11):
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / pair_sums[mask]))
 
 
-def _fd_gradient(f, x, scale=1e-4):
-    g = np.empty(x.size)
-    for i in range(x.size):
-        h = scale * max(1.0, abs(x[i]))
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+def _fd_stencil(f, x, f0):
+    """Central-difference gradient and Hessian of f at x from one stencil.
 
-
-def _fd_hessian(f, x, scale=1e-3):
+    Evaluates f(x +- h_i e_i) and f(x +- h_i e_i +- h_j e_j), i < j, once
+    each, with h_i = 1e-3 max(1, |x_i|); f0 = f(x) comes from the caller.
+    Raises OptimizationError at x if any value is not finite, before any
+    arithmetic on them.
+    """
     k = x.size
-    h = scale * np.maximum(1.0, np.abs(x))
+    h = 1e-3 * np.maximum(1.0, np.abs(x))
+    e = np.diag(h)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    axis = [(f(x + e[i]), f(x - e[i])) for i in range(k)]
+    cross = [
+        (f(x + e[i] + e[j]), f(x + e[i] - e[j]), f(x - e[i] + e[j]), f(x - e[i] - e[j]))
+        for i, j in pairs
+    ]
+    if not all(map(math.isfinite, [f0, *(v for row in axis + cross for v in row)])):
+        raise OptimizationError(
+            "cost is not finite on the difference stencil", best_x=x, best_value=f0
+        )
+    grad = np.empty(k)
     hess = np.empty((k, k))
-    f0 = f(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return hess
+    for i, (fp, fm) in enumerate(axis):
+        grad[i] = (fp - fm) / (2.0 * h[i])
+        hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, cross):
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+    return grad, hess
 
 
 def minimize_raw_cq(raw_cq, start):
-    """Minimize a smooth coercive variational cost, called as raw_cq(*x).
+    """Minimize a quadratic variational cost, called as raw_cq(*x).
 
-    Finite-difference Newton from start, reading only cost values: each
-    step solves the central-difference Hessian against the central-difference
-    gradient, halving until the cost does not rise, and the loop stops when
-    a step neither lowers the cost nor shrinks the gradient.  The raw costs
-    are sums of squares of terms affine in their parameters, hence
+    Finite-difference Newton from start, reading only cost values.  The raw
+    costs are sums of squares of terms affine in their parameters, hence
     quadratic, and central differences are exact on a quadratic up to
-    roundoff, so the first full step lands on the global minimum.  For
-    general smooth inputs the result is a stationary point with gradient
-    norm certified below 1e-7, and no accepted step raised the cost (beyond
-    a 1e-12 relative roundoff allowance).
+    roundoff, so the first full Newton step lands on the global minimum.
+    Each of at most 12 steps solves the Hessian against the gradient, both
+    from one central-difference stencil, and takes the full step if the
+    cost does not rise (beyond a 1e-12 relative roundoff allowance) and
+    either the cost or the gradient norm falls; otherwise the loop stops.
 
-    Returns (minimum value, argmin).  Raises OptimizationError carrying the
-    best iterate if no point passes the gradient certificate in budget.
+    Returns (minimum value, argmin) once the gradient norm is certified
+    below 1e-7.  Raises OptimizationError carrying the best iterate if a
+    stencil meets a non-finite cost, or if no point passes the certificate
+    in budget.
     """
     best_x = np.asarray(start, dtype=float)
     if best_x.ndim != 1 or best_x.size == 0:
@@ -95,28 +100,18 @@ def minimize_raw_cq(raw_cq, start):
         return float(raw_cq(*x))
 
     best_val = f(best_x)
-    grad = _fd_gradient(f, best_x)
+    grad, hess = _fd_stencil(f, best_x, best_val)
     for _ in range(12):
-        step, *_ = np.linalg.lstsq(_fd_hessian(f, best_x), -grad, rcond=1e-12)
-        if not np.all(np.isfinite(step)):
+        step, *_ = np.linalg.lstsq(hess, -grad, rcond=1e-12)
+        cand = best_x + step
+        val = f(cand)
+        if not val <= best_val + 1e-12 * max(1.0, abs(best_val)):
             break
-        moved = False
-        scale = 1.0
-        for _ in range(20):
-            cand = best_x + scale * step
-            val = f(cand)
-            if val <= best_val + 1e-12 * max(1.0, abs(best_val)):
-                cand_grad = _fd_gradient(f, cand)
-                if val < best_val or float(np.linalg.norm(cand_grad)) < float(
-                    np.linalg.norm(grad)
-                ):
-                    best_x, best_val, grad = cand, val, cand_grad
-                    moved = True
-                break
-            scale *= 0.5
-        if not moved:
+        cand_grad, cand_hess = _fd_stencil(f, cand, val)
+        if not (val < best_val or np.linalg.norm(cand_grad) < np.linalg.norm(grad)):
             break
-    if float(np.linalg.norm(grad)) <= 1e-7:
+        best_x, best_val, grad, hess = cand, val, cand_grad, cand_hess
+    if np.linalg.norm(grad) <= 1e-7:
         return best_val, best_x
     raise OptimizationError(
         "no stationary point certified within the iteration budget",

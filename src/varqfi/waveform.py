@@ -144,13 +144,15 @@ def sigma_tilde(omega, model):
 
     4 N plus two Lorentzians of widths (1 -+ x) gamma carrying the
     anti-squeezed and squeezed quadrature weights.  Even in omega;
-    vectorized over omega.
+    vectorized over omega.  (R- - 1)^2 is taken as ((R+ - 1)/R+)^2, which
+    keeps its relative precision as R+ -> 1.
     """
     g = model.gamma_cavity
     x = model.x
     w2 = np.asarray(omega) ** 2
-    lor = (model.R_plus - 1.0) ** 2 * (1.0 - x) ** 3 / ((1.0 - x) ** 2 * g**2 + w2)
-    lor = lor + (model.R_minus - 1.0) ** 2 * (1.0 + x) ** 3 / (
+    excess = model.R_plus - 1.0
+    lor = excess**2 * (1.0 - x) ** 3 / ((1.0 - x) ** 2 * g**2 + w2)
+    lor = lor + (excess / model.R_plus) ** 2 * (1.0 + x) ** 3 / (
         (1.0 + x) ** 2 * g**2 + w2
     )
     return 4.0 * model.flux_N + g**3 / 16.0 * lor

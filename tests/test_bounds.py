@@ -256,9 +256,10 @@ def test_minimizing_raw_forms_recovers_closed_forms_spot():
     assert abs(value - want) < 1e-6 * want
 
 
-# 12 Newton steps of at most 45 evaluations (a 3-parameter Hessian, 20
-# halvings and a gradient) plus the 7 at the start stay under 600
-_MAX_EVALS = 600
+# The start's value and its stencil of 2 k^2 more, then at most 12 Newton
+# steps of a trial value and its stencil: 13 (1 + 2 k^2) evaluations, which
+# is 247 for the 3-parameter thermal cost
+_MAX_EVALS = 247
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from varqfi.bounds import (
     exact_qfi_squeezed,
     im_opt_squeezed,
     phase_variance_bound_full,
+    raw_cq_loss_diffusion,
 )
 from varqfi.channels import lossy_thermal_channel_pure, phase_diffusion, phase_shift
 from varqfi.fock_core import (
@@ -227,3 +228,47 @@ def test_minimize_reports_failure_on_unbounded_objective():
     with pytest.raises(OptimizationError) as info:
         minimize_raw_cq(lambda x, y: x + y, np.array([0.0, 0.0]))
     assert info.value.best_x is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 4), data=st.data())
+def test_minimize_dense_quadratic_from_random_starts(k, data):
+    def vector(lo, hi, size):
+        draws = st.lists(st.floats(lo, hi), min_size=size, max_size=size)
+        return np.array(data.draw(draws))
+
+    # a dense positive-definite Hessian with eigenvalues in [0.1, k + 0.1]
+    root = vector(-1.0, 1.0, k * k).reshape(k, k)
+    hess = root.T @ root + 0.1 * np.eye(k)
+    centre = vector(-5.0, 5.0, k)
+    start = vector(-5.0, 5.0, k)
+    floor = data.draw(st.floats(1.0, 100.0))
+    evals = 0
+
+    def cost(*x):
+        nonlocal evals
+        evals += 1
+        d = np.asarray(x) - centre
+        return float(d @ hess @ d) + floor
+
+    value, arg = minimize_raw_cq(cost, start)
+    assert abs(value - floor) <= 1e-10 * floor
+    assert np.max(np.abs(arg - centre)) <= 1e-6
+    # the start's value and stencil, then 12 steps of a trial value and its
+    # stencil, each stencil 2 k^2 evaluations
+    assert evals <= 13 * (1 + 2 * k * k)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        # at lam = 0 the raw cost is +inf off beta = 0
+        lambda a, b: raw_cq_loss_diffusion(InputMoments(1.0, 4.0), 0.8, 0.0, a, b),
+        lambda a, b: math.nan if b > 0.1 else a * a + b * b,
+    ],
+    ids=["inf", "nan"],
+)
+def test_minimize_raises_typed_error_on_non_finite_cost(cost):
+    with pytest.raises(OptimizationError) as info:
+        minimize_raw_cq(cost, (0.9, 0.1))
+    assert np.array_equal(info.value.best_x, [0.9, 0.1])

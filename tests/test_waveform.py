@@ -153,6 +153,25 @@ def test_sigma_tilde_hand_value():
     assert abs(v0 - 48.625) < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(-15.0, 2.0), width=st.sampled_from([0.0, 1.0, 10.0]))
+@example(u=-8.0, width=0.0)
+def test_sigma_tilde_matches_mpmath(u, width):
+    # the same formula at 50 digits from the same float R+, N and omega;
+    # with R- = 1/R+ rounded first, (R- - 1)^2 cancels as R+ -> 1
+    m = OpoSpectrumModel(1.0 + 10.0**u, 1.0)
+    omega = width * m.gamma_cavity
+    with mpmath.workdps(50):
+        rp, w2 = mpmath.mpf(m.R_plus), mpmath.mpf(omega) ** 2
+        x = (mpmath.sqrt(rp) - 1) / (mpmath.sqrt(rp) + 1)
+        g = 16 / ((rp - 1) * (1 - x) + (1 / rp - 1) * (1 + x))
+        lor = (rp - 1) ** 2 * (1 - x) ** 3 / ((1 - x) ** 2 * g**2 + w2)
+        lor += (1 / rp - 1) ** 2 * (1 + x) ** 3 / ((1 + x) ** 2 * g**2 + w2)
+        want = float(4 + g**3 / 16 * lor)
+    got = float(sigma_tilde(omega, m))
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_sigma_tilde_limits_and_symmetry():
     m = OpoSpectrumModel(7.0, 3.0)
     assert float(sigma_tilde(0.0, m)) > 4.0 * m.flux_N
