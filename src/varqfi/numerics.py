@@ -10,7 +10,8 @@ vector-valued integral (the phase-diffusion average integrates its kick
 averages, one per photon-number offset, this way).  One globally adaptive
 Gauss-Kronrod engine serves both; a vector panel's error estimate is its
 largest entry of |Kronrod - Gauss|, so the tolerance bounds every entry of
-the result.
+the result.  A panel's finiteness check reads only its Kronrod sum: every
+Kronrod weight is positive, so one NaN or +-inf value makes the sum non-finite.
 """
 
 from __future__ import annotations
@@ -107,23 +108,24 @@ def _gk15_panel(f, a, b):
 
     The value is a float for a scalar integrand and a length-m array for a
     vector one; the error estimate is |kronrod - gauss|, its largest entry
-    for a vector.
+    for a vector.  A non-finite value raises ValueError, found from the
+    Kronrod sum alone (each entry of it for a vector): see the module notes.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid + half * _NODES
     y = np.asarray(f(x), dtype=float)
     if y.shape == x.shape:
-        if not np.all(np.isfinite(y)):
+        kron = half * float(_WK.dot(y))
+        if not math.isfinite(kron):
             raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
-        kron = half * float(_WK @ y)
-        gauss = half * float(_WG @ y)
+        gauss = half * float(_WG.dot(y))
         return kron, abs(kron - gauss)
     if y.ndim != 2 or y.shape[0] != x.size:
         raise ValueError("integrand must return one value or one row per abscissa")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
     kron = half * (_WK @ y)
+    if not np.isfinite(kron).all():
+        raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
     gauss = half * (_WG @ y)
     return kron, float(np.max(np.abs(kron - gauss)))
 
@@ -230,9 +232,8 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8, abs_tol=0.0, max_panels=20_000):
     """
 
     def transformed(t):
-        t = np.asarray(t, dtype=float)
         comp = np.maximum(1.0 - t, 1e-17)
-        return np.asarray(f(a + t / comp), dtype=float).reshape(t.shape) / comp**2
+        return np.asarray(f(a + t / comp), dtype=float).reshape(t.shape) / (comp * comp)
 
     value, _ = integrate(
         transformed, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels

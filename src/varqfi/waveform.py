@@ -73,8 +73,12 @@ class PriorSpectrum:
 
         Finite at omega = 0 for both priors; vectorized over omega.
         """
-        scale = self.kappa ** (self.p - 1.0)
-        return (self.lambda_c**2 + np.abs(omega) ** self.p) / scale
+        return self._deficit()(omega)
+
+    def _deficit(self):
+        """omega -> info_deficit(omega), coefficients hoisted as in _spectral_cost."""
+        lam2, scale = map(np.array, (self.lambda_c**2, self.kappa ** (self.p - 1.0)))
+        return lambda omega: (lam2 + np.abs(omega) ** self.p) / scale
 
 
 def _pump_and_rate(R_plus, flux_N):
@@ -147,15 +151,7 @@ def sigma_tilde(omega, model):
     vectorized over omega.  (R- - 1)^2 is taken as ((R+ - 1)/R+)^2, which
     keeps its relative precision as R+ -> 1.
     """
-    g = model.gamma_cavity
-    x = model.x
-    w2 = np.asarray(omega) ** 2
-    excess = model.R_plus - 1.0
-    lor = excess**2 * (1.0 - x) ** 3 / ((1.0 - x) ** 2 * g**2 + w2)
-    lor = lor + (excess / model.R_plus) ** 2 * (1.0 + x) ** 3 / (
-        (1.0 + x) ** 2 * g**2 + w2
-    )
-    return 4.0 * model.flux_N + g**3 / 16.0 * lor
+    return _spectral_cost(model, SpectralCqParams(1.0, 1.0))(omega)
 
 
 def spectral_cq(omega, model, params):
@@ -165,16 +161,43 @@ def spectral_cq(omega, model, params):
     beta = eta/(eta-1) kills the spectral coefficient and leaves the flat
     value 4 N eta/(1-eta); beta = 1 returns sigma_tilde unchanged.
     """
-    weight = params.eta + params.beta * (1.0 - params.eta)
-    w_flat = 1.0 - params.beta
-    flat = 4.0 * model.flux_N * w_flat**2 * params.eta * (1.0 - params.eta)
-    return sigma_tilde(omega, model) * weight**2 + flat
+    return _spectral_cost(model, params)(omega)
+
+
+def _spectral_cost(model, params):
+    """omega -> spectral_cq(omega), coefficients hoisted; eta = 1 gives sigma_tilde."""
+    g, x, shot = model.gamma_cavity, model.x, 4.0 * model.flux_N
+    weight2 = (params.eta + params.beta * (1.0 - params.eta)) ** 2
+    flat = shot * (1.0 - params.beta) ** 2 * params.eta * (1.0 - params.eta)
+    excess = model.R_plus - 1.0
+    c_anti, a_anti = excess**2 * (1.0 - x) ** 3, (1.0 - x) ** 2 * g**2
+    c_sq, a_sq = (excess / model.R_plus) ** 2 * (1.0 + x) ** 3, (1.0 + x) ** 2 * g**2
+    # 0-d arrays: numpy applies them to an array faster than Python floats, same bits
+    shot, height, c_anti, a_anti, c_sq, a_sq, weight2, flat = map(np.array, (
+        shot, g**3 / 16.0, c_anti, a_anti, c_sq, a_sq, weight2, flat))
+
+    def cost(omega):
+        w2 = np.asarray(omega) ** 2
+        lor = c_anti / (a_anti + w2) + c_sq / (a_sq + w2)
+        return (shot + height * lor) * weight2 + flat
+
+    return cost
+
+
+def _mse_integrand(prior, model, params):
+    """omega -> 1/(info_deficit(omega) + spectral_cq(omega)), coefficients hoisted."""
+    deficit, cost = prior._deficit(), _spectral_cost(model, params)
+
+    def integrand(omega):
+        return np.reciprocal(deficit(omega) + cost(omega))
+
+    return integrand
 
 
 def _positive_knots(prior, model, params):
     """Frequencies where the MSE integrand changes character."""
     # the cost's plateaus at omega = 0 and omega = inf, where sigma_tilde is 4N
-    plateaus = [float(spectral_cq(omega, model, params)) for omega in (0.0, math.inf)]
+    plateaus = spectral_cq(np.array([0.0, math.inf]), model, params).tolist()
     knots = [
         (1.0 - model.x) * model.gamma_cavity,
         (1.0 + model.x) * model.gamma_cavity,
@@ -190,19 +213,15 @@ def _positive_knots(prior, model, params):
 def mse_bound(prior, model, params, rel_tol=1e-10):
     """Waveform-phase MSE lower bound at a fixed variational beta.
 
-    (1/pi) integral over omega in [0, inf) of
-    1 / (info_deficit(omega) + spectral_cq(omega; beta)), the even-symmetry
-    half of the full-line spectral inversion.  The reciprocal form keeps
-    the integrand finite at omega = 0 for every admissible prior.
-    Integration is piecewise between the integrand's characteristic
-    frequencies, then over the tail via the semi-infinite map.
+    (1/pi) integral over omega in [0, inf) of 1 / (info_deficit(omega) +
+    spectral_cq(omega; beta)), the even-symmetry half of the full-line
+    spectral inversion.  The reciprocal form keeps the integrand finite at
+    omega = 0 for every admissible prior; its coefficients are computed
+    once per call.  Integration is piecewise between the integrand's
+    characteristic frequencies, then over the tail via the semi-infinite map.
     """
-
-    def integrand(omega):
-        return 1.0 / (prior.info_deficit(omega) + spectral_cq(omega, model, params))
-
-    total = 0.0
-    lo = 0.0
+    integrand = _mse_integrand(prior, model, params)
+    total = lo = 0.0
     for knot in _positive_knots(prior, model, params):
         if knot <= lo * (1.0 + 1e-12):
             continue

@@ -59,6 +59,49 @@ def test_integrate_rejects_bad_integrand_shape():
         integrate(lambda x: np.ones((x.size, 2, 2)), 0.0, 1.0)
 
 
+def _one_bad_node(bad, node):
+    """A panel's ones with the value bad at the given node (0..14)."""
+
+    def values(x):
+        y = np.ones_like(x)
+        y[node] = bad
+        return y
+
+    return values
+
+
+BAD_VALUES = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+BAD_NODES = pytest.mark.parametrize("node", [0, 6, 7, 14])
+
+
+@BAD_VALUES
+@BAD_NODES
+def test_integrate_rejects_one_non_finite_value(bad, node):
+    with pytest.raises(ValueError, match="non-finite value"):
+        integrate(_one_bad_node(bad, node), 0.0, 1.0)
+
+
+@BAD_VALUES
+@BAD_NODES
+def test_integrate_vector_rejects_one_non_finite_entry(bad, node):
+    ones = _one_bad_node(bad, node)
+
+    def f(x):
+        # the bad value sits in the last of three columns
+        return np.column_stack([np.ones_like(x), x, ones(x)])
+
+    with pytest.raises(ValueError, match="non-finite value"):
+        integrate(f, 0.0, 1.0)
+
+
+@BAD_VALUES
+@BAD_NODES
+def test_semi_infinite_rejects_one_non_finite_value(bad, node):
+    decay = _one_bad_node(bad, node)
+    with pytest.raises(ValueError, match="non-finite value"):
+        integrate_semi_infinite(lambda w: decay(w) / (1.0 + w * w), 0.0)
+
+
 def test_integrate_reversed_limits_flip_sign():
     forward, _ = integrate(np.sin, 0.0, 1.0)
     backward, _ = integrate(np.sin, 1.0, 0.0)

@@ -19,6 +19,7 @@ from varqfi.waveform import (
     solve_gamma,
     spectral_cq,
 )
+from varqfi.waveform import _mse_integrand
 
 
 def test_prior_spectrum_validation():
@@ -200,6 +201,48 @@ def test_spectral_cq_distinguished_betas():
     b = spectral_cq(w, m, SpectralCqParams(1.0, 0.9))
     assert np.array_equal(a, b)
     assert np.array_equal(a, sigma_tilde(w, m))
+
+
+def _unhoisted_integrand(prior, model, params, omega):
+    """The mse_bound integrand written out, every operation in closed-form order."""
+    w2 = np.asarray(omega) ** 2
+    g, x, excess = model.gamma_cavity, model.x, model.R_plus - 1.0
+    lor = excess**2 * (1.0 - x) ** 3 / ((1.0 - x) ** 2 * g**2 + w2)
+    lor = lor + (excess / model.R_plus) ** 2 * (1.0 + x) ** 3 / ((1.0 + x) ** 2 * g**2 + w2)
+    sigma = 4.0 * model.flux_N + g**3 / 16.0 * lor
+    eta, beta = params.eta, params.beta
+    flat = 4.0 * model.flux_N * (1.0 - beta) ** 2 * eta * (1.0 - eta)
+    cost = sigma * (eta + beta * (1.0 - eta)) ** 2 + flat
+    deficit = (prior.lambda_c**2 + np.abs(omega) ** prior.p) / prior.kappa ** (prior.p - 1.0)
+    return 1.0 / (deficit + cost)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kappa=st.floats(-2.0, 2.0).map(lambda x: 10.0**x),
+    p=st.floats(1.0, 4.0, exclude_min=True),
+    lambda_c=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    r_plus=st.floats(1.0, 1e6, exclude_min=True),
+    flux=st.floats(-4.0, 8.0).map(lambda x: 10.0**x),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    beta=st.floats(-30.0, 1.0),
+    omega=st.lists(st.floats(0.0, 1e12), max_size=14).map(lambda w: np.array([0.0] + w)),
+)
+@example(kappa=1.0, p=2.0, lambda_c=1.0, r_plus=16.0, flux=1e2, eta=0.9, beta=-9.0,
+         omega=np.array([0.0, 1.0, 1e3, 1e12]))
+def test_hoisted_integrand_is_bit_identical(kappa, p, lambda_c, r_plus, flux, eta, beta, omega):
+    # a positive lambda_c makes the prior Lorentzian, which demands p = 2
+    prior = PriorSpectrum(kappa, 2.0 if lambda_c > 0.0 else p, lambda_c)
+    model = OpoSpectrumModel(r_plus, flux)
+    params = SpectralCqParams(eta, beta)
+    # eta and beta near 0 shrink the cost to 0 or a subnormal, where 1/cost is
+    # +inf on every route
+    with np.errstate(divide="ignore", over="ignore"):
+        got = _mse_integrand(prior, model, params)(omega)
+        want = 1.0 / (prior.info_deficit(omega) + spectral_cq(omega, model, params))
+        written_out = _unhoisted_integrand(prior, model, params, omega)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, written_out)
 
 
 def test_spectral_cq_params_validation():
