@@ -3,6 +3,7 @@ import io
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +345,26 @@ def test_plot_script_contents(tmp_path, capsys):
     assert str(out) in script
     assert "($2==1?$1:1/0)" in script  # per-curve row filter
     assert script.rstrip().splitlines()[-1].strip().startswith("'")
+
+
+# each golden gnuplot script and the small grid that writes it; fig2o leaves
+# its r = 1.0 row without an oracle value
+_GOLDEN_PLOTS = {
+    "fig1": ["fig1", "--n-points", "2"],
+    "fig2": ["fig2", "--r-points", "3"],
+    "fig2o": ["fig2", "--with-oracle", "--r-max", "1.0", "--r-points", "3"],
+    "fig3": ["fig3", "--n-min", "1e3", "--n-max", "1e4", "--n-points", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_PLOTS))
+def test_plot_scripts_match_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = _GOLDEN_PLOTS[name] + ["--out", name + ".csv", "--plot", name + ".gp"]
+    code, out, _ = _run(capsys, *argv)
+    assert (code, out) == (0, "")
+    golden = Path(__file__).parent / "golden" / (name + ".gp")
+    assert (tmp_path / (name + ".gp")).read_bytes() == golden.read_bytes()
 
 
 def test_plot_rejected_for_one_shot_reports(tmp_path, capsys):
