@@ -1,11 +1,13 @@
 """Command-line front end: figure tables as CSV plus one-shot evaluations.
 
-Subcommands fig1/fig2/fig3 sweep the bound formulas (and optionally the
-Fock oracle) over parameter grids and emit deterministic CSV; bound and
-oracle evaluate a single named formula or the oracle on explicit
-parameters.  Output goes to stdout unless --out is given; the figure
-commands' --plot writes a gnuplot script referencing the CSV file.  An
-argument @FILE reads further flags from FILE, one `key = value` per line.
+A figure (fig1/fig2/fig3) is one _FIGURES entry holding its own physics: a
+setup that checks the flags and returns the CSV header, row keys and row
+function, and its plot's axis labels, extra lines, series flag and curves.
+cmd_figure runs the one row loop; --plot writes a gnuplot script that
+references the --out CSV.  bound and oracle hand cmd_report a table of
+named formulas, whose key=value parameters it echoes in one report line.
+Output goes to stdout unless --out is given.  An argument @FILE reads
+further flags from FILE, one `key = value` per line.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -13,7 +15,9 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
+import itertools
 import math
 import os
 import sys
@@ -55,23 +59,16 @@ def _cell(value):
     return _fmt(value)
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _log_grid(lo, hi, points):
     if not (0.0 < lo < hi < math.inf and points >= 2):  # NaN fails too
         raise UsageError("grid needs 0 < min < max < inf and at least 2 points")
-    return np.logspace(math.log10(lo), math.log10(hi), int(points))
+    return np.logspace(math.log10(lo), math.log10(hi), int(points)).tolist()
 
 
 def _lin_grid(lo, hi, points):
     if not (-math.inf < lo < hi < math.inf and points >= 2):  # NaN fails too
         raise UsageError("grid needs finite min < max and at least 2 points")
-    return np.linspace(lo, hi, int(points))
+    return np.linspace(lo, hi, int(points)).tolist()
 
 
 def _float_list(text):
@@ -95,11 +92,15 @@ def _write(path, text):
 def _check_outputs(args):
     """Refuse, before any row is computed, the outputs _emit cannot write.
 
-    One rule for --out and --plot.  Creates and truncates nothing.
+    One rule for --out and --plot.  They must name different files, or the
+    script would overwrite the CSV it references.  Creates and truncates
+    nothing.
     """
     plot = getattr(args, "plot", None)
     if plot and not args.out:
         raise UsageError("--plot requires --out (the script references the CSV file)")
+    if plot and os.path.realpath(plot) == os.path.realpath(args.out):
+        raise UsageError("--out and --plot name the same file %r" % args.out)
     for path in filter(None, (args.out, plot)):
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
@@ -126,82 +127,45 @@ def _squeezed_moments(mean_n):
 
 # ---------------------------------------------------------------- figures
 
-
-def _plot_header(xlabel, ylabel, logscale):
-    return [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set logscale " + logscale,
-        "set xlabel '%s'" % xlabel,
-        "set ylabel '%s'" % ylabel,
-    ]
+# the plot draws each (column, style, title) curve that is in the header, once
+# per value of the series flag (CSV column 2), or once if there is none
+_Figure = collections.namedtuple("_Figure", "setup labels extra series curves")
 
 
-def _plot_text(header_lines, clauses):
-    return "\n".join(header_lines + ["plot \\", ", \\\n".join("  " + c for c in clauses)]) + "\n"
-
-
-def cmd_fig1(args):
+def _fig1_setup(args):
     grid = _log_grid(args.n_min, args.n_max, args.n_points)
-    rows = []
-    for n_T in args.nt_list:
-        for mean_n in grid:
-            m = _squeezed_moments(float(mean_n))
-            r = math.asinh(math.sqrt(mean_n))
-            rows.append(
-                (
-                    float(mean_n),
-                    n_T,
-                    cq_min_loss_thermal(m, args.eta, n_T),
-                    exact_qfi_squeezed(r, args.eta, n_T),
-                )
-            )
-    csv = _csv_text(("mean_n", "n_T", "cq_min", "exact_qfi"), rows)
-    plot = None
-    if args.plot:
-        clauses = []
-        for n_T in args.nt_list:
-            tag = _fmt(n_T)
-            sel = "($2==%s?$1:1/0)" % tag
-            clauses.append(
-                "'%s' using %s:3 with lines title 'bound, n_T=%s'" % (args.out, sel, tag)
-            )
-            clauses.append(
-                "'%s' using %s:4 with lines dashtype 2 title 'exact, n_T=%s'"
-                % (args.out, sel, tag)
-            )
-        plot = _plot_text(
-            _plot_header("mean photon number", "Fisher information", "xy"), clauses
-        )
-    return _emit(args, csv, plot)
+
+    def row(n_T, mean_n):
+        m = _squeezed_moments(mean_n)
+        r = math.asinh(math.sqrt(mean_n))
+        cq = cq_min_loss_thermal(m, args.eta, n_T)
+        return mean_n, n_T, cq, exact_qfi_squeezed(r, args.eta, n_T)
+
+    header = ("mean_n", "n_T", "cq_min", "exact_qfi")
+    return header, itertools.product(args.nt_list, grid), row
 
 
-def cmd_fig2(args):
+def _fig2_setup(args):
     r_grid = _lin_grid(args.r_min, args.r_max, args.r_points)
     if args.r_min < 0.0:
         raise UsageError("squeezing grid must be nonnegative")
     dim = oracle_dim(ORACLE_R_MAX, 0.0)
 
-    def oracle_value(r):
-        if not args.with_oracle or r > ORACLE_R_MAX:
-            return None
-        return squeezed_probe_qfi(r, args.eta, 0.0, args.lam, dim=dim, bath_dim=dim)
-
-    rows = []
-    for r in r_grid:
-        mean_n = math.sinh(float(r)) ** 2
+    def row(r):
+        mean_n = math.sinh(r) ** 2
         m = _squeezed_moments(mean_n)
-        row = [
-            mean_n,
-            cq_min_loss_diffusion(m, args.eta, args.lam),
-            im_opt_squeezed(float(r), args.eta, args.lam),
-        ]
-        if args.with_oracle:
-            row.append(oracle_value(float(r)))
-        rows.append(tuple(row))
-    header = ["mean_n", "cq_min", "im_opt"]
+        cq = cq_min_loss_diffusion(m, args.eta, args.lam)
+        im = im_opt_squeezed(r, args.eta, args.lam)
+        if not args.with_oracle:
+            return mean_n, cq, im
+        if r > ORACLE_R_MAX:  # beyond the truncation-safe range: left empty
+            return mean_n, cq, im, None
+        fq = squeezed_probe_qfi(r, args.eta, 0.0, args.lam, dim=dim, bath_dim=dim)
+        return mean_n, cq, im, fq
+
+    header = ("mean_n", "cq_min", "im_opt")
     if args.with_oracle:
-        header.append("oracle_qfi")
+        header += ("oracle_qfi",)
         skipped = sum(1 for r in r_grid if r > ORACLE_R_MAX)
         if skipped:
             print(
@@ -209,62 +173,99 @@ def cmd_fig2(args):
                 "(beyond the truncation-safe range)" % (skipped, ORACLE_R_MAX),
                 file=sys.stderr,
             )
-    csv = _csv_text(header, rows)
-    plot = None
-    if args.plot:
-        lines = _plot_header("mean photon number", "Fisher information", "xy")
-        lines.append("set datafile missing ''")
-        clauses = [
-            "'%s' using 1:2 with lines title 'upper bound'" % args.out,
-            "'%s' using 1:3 with lines dashtype 2 title 'measurement bound'" % args.out,
-        ]
-        if args.with_oracle:
-            clauses.append("'%s' using 1:4 with points title 'Fock oracle'" % args.out)
-        plot = _plot_text(lines, clauses)
-    return _emit(args, csv, plot)
+    return header, zip(r_grid), row
 
 
-def cmd_fig3(args):
+def _fig3_setup(args):
     grid = _log_grid(args.n_min, args.n_max, args.n_points)
     for eta in args.eta_list:
         check_eta(eta)
     if not 0.0 < args.tol_rel < 1.0:  # NaN fails too; inf is not below 1
         raise UsageError("--tol-rel must lie in (0, 1)")
-    rows = []
-    for eta in args.eta_list:
-        for flux in grid:
-            try:
-                (row,) = fig3_curve(eta, [flux], rel_tol=args.tol_rel)
-                rows.append((row.flux_N, eta, row.bound, row.beta_star, ""))
-            except (AccuracyError, OptimizationError, ValueError) as exc:
-                rows.append((float(flux), eta, None, None, str(exc).replace(",", ";")))
-    csv = _csv_text(("flux_N", "eta", "mse_bound", "beta_star", "error"), rows)
-    plot = None
-    if args.plot:
-        clauses = []
-        for eta in args.eta_list:
-            tag = _fmt(eta)
-            clauses.append(
-                "'%s' using ($2==%s?$1:1/0):3 with lines title 'eta=%s'"
-                % (args.out, tag, tag)
-            )
-        plot = _plot_text(_plot_header("photon flux", "MSE bound", "xy"), clauses)
-    return _emit(args, csv, plot)
+
+    def row(eta, flux):
+        try:
+            (point,) = fig3_curve(eta, [flux], rel_tol=args.tol_rel)
+            return (point.flux_N, eta, point.bound, point.beta_star, "")
+        except (AccuracyError, OptimizationError, ValueError) as exc:
+            return (flux, eta, None, None, str(exc).replace(",", ";"))
+
+    header = ("flux_N", "eta", "mse_bound", "beta_star", "error")
+    return header, itertools.product(args.eta_list, grid), row
+
+
+_FIGURES = {
+    "fig1": _Figure(
+        _fig1_setup, ("mean photon number", "Fisher information"), (), "nt_list",
+        (
+            ("cq_min", "lines", "bound, n_T={}"),
+            ("exact_qfi", "lines dashtype 2", "exact, n_T={}"),
+        ),
+    ),
+    "fig2": _Figure(
+        _fig2_setup, ("mean photon number", "Fisher information"),
+        ("set datafile missing ''",), None,
+        (
+            ("cq_min", "lines", "upper bound"),
+            ("im_opt", "lines dashtype 2", "measurement bound"),
+            ("oracle_qfi", "points", "Fock oracle"),
+        ),
+    ),
+    "fig3": _Figure(
+        _fig3_setup, ("photon flux", "MSE bound"), (), "eta_list",
+        (("mse_bound", "lines", "eta={}"),),
+    ),
+}
+
+
+def _plot_script(figure, args, header):
+    """The gnuplot script that draws figure's curves from the CSV at args.out."""
+    lines = [
+        "set datafile separator ','",
+        "set key autotitle columnhead",
+        "set logscale xy",
+        "set xlabel '%s'" % figure.labels[0],
+        "set ylabel '%s'" % figure.labels[1],
+        *figure.extra,
+    ]
+    clauses = []
+    for tag in map(_cell, getattr(args, figure.series) if figure.series else [None]):
+        x = "($2==%s?$1:1/0)" % tag if tag else "1"
+        for column, style, title in figure.curves:
+            if column in header:
+                clauses.append(
+                    "'%s' using %s:%d with %s title '%s'"
+                    % (args.out, x, header.index(column) + 1, style, title.format(tag))
+                )
+    return "\n".join(lines + ["plot \\", ", \\\n".join("  " + c for c in clauses)]) + "\n"
+
+
+def cmd_figure(args):
+    figure = args.figure
+    header, keys, row = figure.setup(args)
+    lines = [",".join(header)]
+    for key in keys:
+        lines.append(",".join(_cell(v) for v in row(*key)))
+    csv = "\n".join(lines) + "\n"
+    return _emit(args, csv, _plot_script(figure, args, header) if args.plot else None)
 
 
 # ------------------------------------------------------- one-shot reports
+
+
+def _moments(p):
+    return InputMoments(p["mean_n"], p["var_n"])
+
 
 # name -> (ordered (key, default) pairs, evaluator); None marks a required key
 _BOUND_TABLE = {
     "eq15": (
         (("mean_n", None), ("var_n", None), ("eta", 1.0), ("nT", 0.0)),
-        lambda p: cq_min_loss_thermal(
-            InputMoments(p["mean_n"], p["var_n"]), p["eta"], p["nT"]
-        ),
+        lambda p: cq_min_loss_thermal(_moments(p), p["eta"], p["nT"]),
     ),
     "eq16": (
         (("mean_n", None), ("var_n", None), ("eta", 1.0)),
-        lambda p: cq_min_loss_zero_T(InputMoments(p["mean_n"], p["var_n"]), p["eta"]),
+        lambda p: cq_min_loss_zero_T(_moments(p), p["eta"]),
     ),
     "eq17": (
         (("r", None), ("eta", 1.0), ("nT", 0.0)),
@@ -272,15 +273,11 @@ _BOUND_TABLE = {
     ),
     "eq21": (
         (("mean_n", None), ("var_n", None), ("eta", 1.0), ("lambda", 0.0)),
-        lambda p: cq_min_loss_diffusion(
-            InputMoments(p["mean_n"], p["var_n"]), p["eta"], p["lambda"]
-        ),
+        lambda p: cq_min_loss_diffusion(_moments(p), p["eta"], p["lambda"]),
     ),
     "eq22": (
         (("mean_n", None), ("var_n", None), ("eta", 1.0), ("nT", 0.0), ("lambda", 0.0)),
-        lambda p: phase_variance_bound_full(
-            InputMoments(p["mean_n"], p["var_n"]), p["eta"], p["nT"], p["lambda"]
-        ),
+        lambda p: phase_variance_bound_full(_moments(p), p["eta"], p["nT"], p["lambda"]),
     ),
     "eq25": (
         (("r", None), ("eta", 1.0), ("lambda", 0.0)),
@@ -288,24 +285,52 @@ _BOUND_TABLE = {
     ),
 }
 
+# default of an oracle size key: size it automatically (a given size is >= 0)
+_AUTO = -1
 
-def _parse_params(tokens, fields, command, counts=()):
+
+def _oracle_value(p):
+    """The oracle's QFI; fills the automatic sizes into p, so the line shows them."""
+    if p["dim"] == _AUTO:
+        p["dim"] = oracle_dim(p["r"], p["nT"])
+    if p["bath_dim"] == _AUTO:
+        p["bath_dim"] = p["dim"]
+    return squeezed_probe_qfi(
+        p["r"], p["eta"], p["nT"], p["lambda"], dim=p["dim"], bath_dim=p["bath_dim"]
+    )
+
+
+_ORACLE_TABLE = {
+    "oracle": (
+        (
+            ("r", None), ("eta", 1.0), ("nT", 0.0), ("lambda", 0.0),
+            ("dim", _AUTO), ("bath_dim", _AUTO),
+        ),
+        _oracle_value,
+    ),
+}
+
+
+def _parse_params(tokens, fields, name):
     """key=value tokens as floats, keyed as fields, with defaults filled in.
 
     fields holds ordered (key, default) pairs; a None default marks a key
-    the command cannot run without.  Keys named in counts take nonnegative
-    integers instead of floats.
+    the formula cannot run without, and an int default a key that takes a
+    nonnegative integer instead of a float.  A key given twice is misuse.
     """
-    params = dict(fields)
+    defaults = dict(fields)
+    params = {}
     for tok in tokens:
         if "=" not in tok:
             raise UsageError("expected key=value, got %r" % tok)
         key, _, raw = tok.partition("=")
-        if key not in params:
+        if key not in defaults:
             raise UsageError(
-                "unknown parameter %r (valid: %s)" % (key, ", ".join(sorted(params)))
+                "unknown parameter %r (valid: %s)" % (key, ", ".join(sorted(defaults)))
             )
-        if key in counts:
+        if key in params:
+            raise UsageError("parameter %s given twice" % key)
+        if isinstance(defaults[key], int):
             if not raw.isdecimal():  # no sign, point, exponent or nan
                 raise UsageError(
                     "parameter %s needs a nonnegative integer, got %r" % (key, raw)
@@ -316,71 +341,31 @@ def _parse_params(tokens, fields, command, counts=()):
             params[key] = float(raw)
         except ValueError:
             raise UsageError("parameter %s needs a number, got %r" % (key, raw))
-    for key, value in params.items():
-        if value is None:
-            raise UsageError("%s requires %s=..." % (command, key))
+    for key, default in fields:
+        if default is None and key not in params:
+            raise UsageError("%s requires %s=..." % (name, key))
+        params.setdefault(key, default)
     return params
 
 
-def cmd_bound(args):
-    if args.name not in _BOUND_TABLE:
+def cmd_report(args):
+    if args.name not in args.table:
         raise UsageError(
             "unknown bound name %r (valid: %s)"
-            % (args.name, ", ".join(sorted(_BOUND_TABLE)))
+            % (args.name, ", ".join(sorted(args.table)))
         )
-    fields, evaluate = _BOUND_TABLE[args.name]
-    params = _parse_params(args.params, fields, "bound " + args.name)
+    fields, evaluate = args.table[args.name]
+    params = _parse_params(args.params, fields, args.name)
     value = evaluate(params)
     inputs = " ".join("%s=%s" % (key, _fmt(params[key])) for key, _ in fields)
-    line = "%s %s value=%s\n" % (args.name, inputs, _fmt(value))
-    return _emit(args, line)
-
-
-# default of an oracle size key: size it automatically (a given size is >= 0)
-_AUTO = -1
-
-
-def cmd_oracle(args):
-    fields = (
-        ("r", None),
-        ("eta", 1.0),
-        ("nT", 0.0),
-        ("lambda", 0.0),
-        ("dim", _AUTO),
-        ("bath_dim", _AUTO),
-    )
-    params = _parse_params(args.params, fields, "oracle", counts=("dim", "bath_dim"))
-    dim = params["dim"]
-    if dim == _AUTO:
-        dim = oracle_dim(params["r"], params["nT"])
-    bath_dim = params["bath_dim"]
-    if bath_dim == _AUTO:
-        bath_dim = dim
-    value = squeezed_probe_qfi(
-        params["r"], params["eta"], params["nT"], params["lambda"],
-        dim=dim, bath_dim=bath_dim,
-    )
-    line = "oracle r=%s eta=%s nT=%s lambda=%s dim=%d bath_dim=%d value=%s\n" % (
-        _fmt(params["r"]),
-        _fmt(params["eta"]),
-        _fmt(params["nT"]),
-        _fmt(params["lambda"]),
-        dim,
-        bath_dim,
-        _fmt(value),
-    )
-    return _emit(args, line)
+    return _emit(args, "%s %s value=%s\n" % (args.name, inputs, _fmt(value)))
 
 
 # ------------------------------------------------------------- plumbing
 
 
-def _add_common(parser, plot=False):
+def _add_out(parser):
     parser.add_argument("--out", help="write CSV/report to this file instead of stdout")
-    if plot:
-        parser.add_argument(
-            "--plot", help="also write a gnuplot script referencing the CSV (needs --out)"
-        )
 
 
 def _config_line(line):
@@ -417,8 +402,6 @@ def build_parser():
     p1.add_argument("--n-min", type=float, default=0.1)
     p1.add_argument("--n-max", type=float, default=100.0)
     p1.add_argument("--n-points", type=int, default=50)
-    _add_common(p1, plot=True)
-    p1.set_defaults(func=cmd_fig1)
 
     p2 = sub.add_parser("fig2", help="loss+diffusion bound sandwich vs probe energy")
     p2.add_argument("--eta", type=float, default=0.95)
@@ -430,8 +413,6 @@ def build_parser():
         "--with-oracle", action="store_true",
         help="add a Fock-oracle column for truncation-safe rows",
     )
-    _add_common(p2, plot=True)
-    p2.set_defaults(func=cmd_fig2)
 
     p3 = sub.add_parser("fig3", help="waveform MSE bound vs photon flux")
     p3.add_argument(
@@ -445,19 +426,23 @@ def build_parser():
         "--tol-rel", type=float, default=1e-8,
         help="relative tolerance of the adaptive quadrature behind each row",
     )
-    _add_common(p3, plot=True)
-    p3.set_defaults(func=cmd_fig3)
+    for name, p in (("fig1", p1), ("fig2", p2), ("fig3", p3)):
+        _add_out(p)
+        p.add_argument(
+            "--plot", help="also write a gnuplot script referencing the CSV (needs --out)"
+        )
+        p.set_defaults(func=cmd_figure, figure=_FIGURES[name])
 
     pb = sub.add_parser("bound", help="evaluate one named bound on explicit parameters")
     pb.add_argument("name", help="one of %s" % "|".join(sorted(_BOUND_TABLE)))
     pb.add_argument("params", nargs="*", help="key=value pairs")
-    _add_common(pb)
-    pb.set_defaults(func=cmd_bound)
+    _add_out(pb)
+    pb.set_defaults(func=cmd_report, table=_BOUND_TABLE)
 
     po = sub.add_parser("oracle", help="brute-force QFI of a lossy squeezed probe")
     po.add_argument("params", nargs="*", help="key=value pairs (r required)")
-    _add_common(po)
-    po.set_defaults(func=cmd_oracle)
+    _add_out(po)
+    po.set_defaults(func=cmd_report, table=_ORACLE_TABLE, name="oracle")
 
     return parser
 
@@ -472,13 +457,10 @@ def main(argv=None):
         args = parser.parse_args(rest[:1] + files + rest[1:])
         _check_outputs(args)
         return args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
     except (AccuracyError, OptimizationError, TruncationError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
 

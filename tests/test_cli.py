@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -18,7 +19,7 @@ from varqfi.bounds import (
     im_opt_squeezed,
     phase_variance_bound_full,
 )
-from varqfi.cli import main
+from varqfi.cli import build_parser, main
 from varqfi.fock_core import InputMoments
 
 
@@ -217,6 +218,22 @@ def test_oracle_explicit_sizes_match_automatic_sizing(capsys):
     explicit = _run(capsys, "oracle", "r=0.3", "eta=0.9", "dim=14", "bath_dim=14")
     assert explicit == auto
     assert auto[0] == 0 and "dim=14 bath_dim=14" in auto[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "eq17", "r=0.1", "r=0.2"),
+        ("bound", "eq16", "eta=0.5", "mean_n=2", "var_n=12", "eta=0.5"),
+        ("oracle", "r=0.3", "dim=14", "dim=20"),
+    ],
+)
+def test_report_key_given_twice_is_misuse(argv, capsys):
+    # the last value used to win silently, whether or not the two agreed
+    key = argv[-1].partition("=")[0]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "usage error: parameter %s given twice" % key in err
 
 
 def test_fig1_csv_properties(tmp_path, capsys):
@@ -430,6 +447,23 @@ def test_outputs_refused_before_any_row(tmp_path, capsys, monkeypatch):
         assert not csv.exists()
 
 
+def test_out_and_plot_naming_one_file_is_misuse(tmp_path, capsys, monkeypatch):
+    # the script would overwrite the CSV it references; paths compare resolved
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a fig3 row ran")
+
+    monkeypatch.setattr("varqfi.cli.fig3_curve", no_rows)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "t")
+    for command in ("fig1", "fig2", "fig3"):
+        for plot in ("t/a.csv", "./t/../t/a.csv", str(tmp_path / "link" / "a.csv")):
+            code, out, err = _run(capsys, command, "--out", "t/a.csv", "--plot", plot)
+            assert (code, out) == (2, "")
+            assert "usage error: --out and --plot name the same file" in err
+    assert list((tmp_path / "t").iterdir()) == []
+
+
 def test_bad_grid_specs(capsys):
     for argv in (
         ("fig1", "--n-min", "-1"),
@@ -587,3 +621,36 @@ def test_oracle_commands_run_without_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# each subcommand's option strings and positionals, in the order it registers
+# them: a new knob has to be added here on purpose
+_OPTION_SURFACE = {
+    "fig1": ["--eta", "--nt-list", "--n-min", "--n-max", "--n-points", "--out", "--plot"],
+    "fig2": [
+        "--eta", "--lambda", "--r-min", "--r-max", "--r-points", "--with-oracle",
+        "--out", "--plot",
+    ],
+    "fig3": ["--eta-list", "--n-min", "--n-max", "--n-points", "--tol-rel", "--out", "--plot"],
+    "bound": ["name", "params", "--out"],
+    "oracle": ["params", "--out"],
+}
+
+
+def test_option_surface_is_pinned():
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        command: [
+            name
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for name in action.option_strings or [action.dest]
+        ]
+        for command, parser in commands.choices.items()
+    }
+    assert surface == _OPTION_SURFACE
+    settable = [name for names in surface.values() for name in names if name[:2] == "--"]
+    assert len(settable) == 24
