@@ -21,7 +21,6 @@ from .numerics import check_eta, check_nonneg
 
 __all__ = [
     "cq_min_loss_thermal",
-    "cq_min_loss_zero_T",
     "exact_qfi_squeezed",
     "cq_min_loss_diffusion",
     "phase_variance_bound_full",
@@ -80,14 +79,6 @@ def cq_min_loss_thermal(m, eta, n_T):
     (mean_n = 0, eta < 1) and a number eigenstate (var_n = 0) both give 0.
     """
     return 4.0 * _inv(_noise_denominator(m, eta, n_T, 0.0))
-
-
-def cq_min_loss_zero_T(m, eta):
-    """Loss-only bound 4/[1/var_n + (1-eta)/(eta mean_n)].
-
-    Identical, float for float, to cq_min_loss_thermal at n_T = 0.
-    """
-    return cq_min_loss_thermal(m, eta, 0.0)
 
 
 def exact_qfi_squeezed(r, eta, n_T):

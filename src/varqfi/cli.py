@@ -27,7 +27,6 @@ import numpy as np
 from .bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
-    cq_min_loss_zero_T,
     exact_qfi_squeezed,
     im_opt_squeezed,
     phase_variance_bound_full,
@@ -92,14 +91,17 @@ def _write(path, text):
 def _check_outputs(args):
     """Refuse, before any row is computed, the outputs _emit cannot write.
 
-    One rule for --out and --plot.  They must name different files, or the
-    script would overwrite the CSV it references.  Creates and truncates
-    nothing.
+    One rule for --out and --plot.  An empty path is refused outright: its
+    abspath is the working directory, which the folder check would pass.
+    They must name different files, or the script would overwrite the CSV
+    it references.  Creates and truncates nothing.
     """
     plot = getattr(args, "plot", None)
-    if plot and not args.out:
+    if "" in (args.out, plot):
+        raise UsageError("--out and --plot need a non-empty file name")
+    if plot is not None and args.out is None:
         raise UsageError("--plot requires --out (the script references the CSV file)")
-    if plot and os.path.realpath(plot) == os.path.realpath(args.out):
+    if plot is not None and os.path.realpath(plot) == os.path.realpath(args.out):
         raise UsageError("--out and --plot name the same file %r" % args.out)
     for path in filter(None, (args.out, plot)):
         folder = os.path.dirname(os.path.abspath(path))
@@ -112,7 +114,7 @@ def _check_outputs(args):
 
 
 def _emit(args, csv_text, plot_script=None):
-    if args.out:
+    if args.out is not None:
         _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
@@ -247,7 +249,8 @@ def cmd_figure(args):
     for key in keys:
         lines.append(",".join(_cell(v) for v in row(*key)))
     csv = "\n".join(lines) + "\n"
-    return _emit(args, csv, _plot_script(figure, args, header) if args.plot else None)
+    plot = None if args.plot is None else _plot_script(figure, args, header)
+    return _emit(args, csv, plot)
 
 
 # ------------------------------------------------------- one-shot reports
@@ -265,7 +268,7 @@ _BOUND_TABLE = {
     ),
     "eq16": (
         (("mean_n", None), ("var_n", None), ("eta", 1.0)),
-        lambda p: cq_min_loss_zero_T(_moments(p), p["eta"]),
+        lambda p: cq_min_loss_thermal(_moments(p), p["eta"], 0.0),
     ),
     "eq17": (
         (("r", None), ("eta", 1.0), ("nT", 0.0)),

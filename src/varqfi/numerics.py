@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 

@@ -31,7 +31,6 @@ __all__ = [
     "OptimizedBound",
     "ScalingConstruction",
     "Fig3Row",
-    "solve_gamma",
     "sigma_tilde",
     "spectral_cq",
     "mse_bound",
@@ -84,9 +83,13 @@ class PriorSpectrum:
 def _pump_and_rate(R_plus, flux_N):
     """Pump amplitude x and cavity decay rate gamma of an OPO beam.
 
-    g = sqrt(R+) - 1 is computed as (R+ - 1)/(sqrt(R+) + 1), which keeps its
-    relative precision as R+ -> 1; then x = g/(sqrt(R+) + 1) and
-    gamma = 16 N sqrt(R+)/(2 g^2).
+    gamma yields the requested total photon flux N: the flux equation
+    gamma = 16 N / [(R+ - 1)(1 - x) + (R- - 1)(1 + x)], with R- = 1/R+ and
+    x = (sqrt(R+) - 1)/(sqrt(R+) + 1), has the bracket
+    2 (sqrt(R+) - 1)^2 / sqrt(R+).  g = sqrt(R+) - 1 is computed as
+    (R+ - 1)/(sqrt(R+) + 1), which keeps its relative precision as R+ -> 1;
+    then x = g/(sqrt(R+) + 1) and gamma = 16 N sqrt(R+)/(2 g^2), finite and
+    positive for every R+ > 1.
     """
     if not R_plus > 1.0:
         raise ValueError("R_plus must exceed 1")
@@ -97,26 +100,14 @@ def _pump_and_rate(R_plus, flux_N):
     return g / (root + 1.0), 16.0 * flux_N * root / (2.0 * g * g)
 
 
-def solve_gamma(R_plus, flux_N):
-    """Cavity decay rate that yields the requested total photon flux.
-
-    The flux equation gamma = 16 N / [(R+ - 1)(1 - x) + (R- - 1)(1 + x)],
-    with R- = 1/R+ and x = (sqrt(R+) - 1)/(sqrt(R+) + 1), has the bracket
-    2 (sqrt(R+) - 1)^2 / sqrt(R+).  gamma = 16 N sqrt(R+)/(2 g^2) with the
-    cancellation-free g = sqrt(R+) - 1 of _pump_and_rate is computed: finite
-    and positive for every R+ > 1.
-    """
-    return _pump_and_rate(R_plus, flux_N)[1]
-
-
 @dataclass(frozen=True)
 class OpoSpectrumModel:
     """OPO squeezed vacuum: anti-squeezing level R_plus and photon flux.
 
     R_minus = 1/R_plus, the normalized pump amplitude
-    x = (sqrt(R+) - 1)/(sqrt(R+) + 1) and the cavity decay rate of
-    solve_gamma are derived at construction, finite and positive for
-    every R_plus > 1.
+    x = (sqrt(R+) - 1)/(sqrt(R+) + 1) and the cavity decay rate
+    gamma_cavity that yields the flux (_pump_and_rate) are derived at
+    construction, finite and positive for every R_plus > 1.
     """
 
     R_plus: float

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
-    cq_min_loss_zero_T,
     exact_qfi_squeezed,
     im_opt_squeezed,
     phase_variance_bound_full,
@@ -32,7 +31,7 @@ def test_thermal_bound_worked_example():
 def test_thermal_bound_lossless_limit():
     m = InputMoments(3.0, 7.0)
     assert cq_min_loss_thermal(m, 1.0, 5.0) == 28.0
-    assert cq_min_loss_zero_T(m, 1.0) == 28.0
+    assert cq_min_loss_thermal(m, 1.0, 0.0) == 28.0
 
 
 def test_thermal_bound_edge_cases():
@@ -44,16 +43,8 @@ def test_thermal_bound_edge_cases():
 
 
 def test_zero_T_worked_example():
-    got = cq_min_loss_zero_T(InputMoments(2.0, 12.0), 0.5)
+    got = cq_min_loss_thermal(InputMoments(2.0, 12.0), 0.5, 0.0)
     assert abs(got - 48.0 / 7.0) < 1e-14
-
-
-def test_zero_T_equals_thermal_at_zero():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        m = InputMoments(10.0 ** rng.uniform(-2, 4), 10.0 ** rng.uniform(-2, 8))
-        eta = rng.uniform(0.05, 1.0)
-        assert cq_min_loss_zero_T(m, eta) == cq_min_loss_thermal(m, eta, 0.0)
 
 
 def test_thermal_bound_decreasing_in_temperature():
@@ -119,7 +110,7 @@ def test_diffusion_bound_collapses_at_lam_zero():
     for _ in range(100):
         m = InputMoments(10.0 ** rng.uniform(-2, 3), 10.0 ** rng.uniform(-2, 6))
         eta = rng.uniform(0.05, 1.0)
-        assert cq_min_loss_diffusion(m, eta, 0.0) == cq_min_loss_zero_T(m, eta)
+        assert cq_min_loss_diffusion(m, eta, 0.0) == cq_min_loss_thermal(m, eta, 0.0)
 
 
 def test_diffusion_bound_ceiling():

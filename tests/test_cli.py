@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
-    cq_min_loss_zero_T,
     exact_qfi_squeezed,
     im_opt_squeezed,
     phase_variance_bound_full,
@@ -72,7 +71,7 @@ _LIBRARY = {
     ),
     "eq16": (
         ("mean_n", "var_n", "eta"),
-        lambda p: cq_min_loss_zero_T(_moments(p), p["eta"]),
+        lambda p: cq_min_loss_thermal(_moments(p), p["eta"], 0.0),
     ),
     "eq17": (
         ("r", "eta", "nT"),
@@ -462,6 +461,26 @@ def test_out_and_plot_naming_one_file_is_misuse(tmp_path, capsys, monkeypatch):
             assert (code, out) == (2, "")
             assert "usage error: --out and --plot name the same file" in err
     assert list((tmp_path / "t").iterdir()) == []
+
+
+def test_empty_output_path_is_misuse(tmp_path, capsys, monkeypatch):
+    # abspath("") is the working directory, so the folder check alone passes it
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a fig3 row ran")
+
+    monkeypatch.setattr("varqfi.cli.fig3_curve", no_rows)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ("fig1", "--out", ""),
+        ("fig1", "--out", "e.csv", "--plot", ""),
+        ("fig3", "--out", ""),
+        ("fig3", "--out", "e.csv", "--plot", ""),
+        ("bound", "eq16", "mean_n=2", "var_n=12", "--out", ""),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "usage error: --out and --plot need a non-empty file name" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_grid_specs(capsys):

@@ -1,4 +1,4 @@
-"""The runnable parts of the documentation: the demos and the README's CLI examples."""
+"""The runnable parts of the documentation: the demos and the README's examples."""
 
 import os
 import shlex
@@ -29,12 +29,19 @@ def _readme_examples():
     return examples
 
 
+def _readme_python_blocks():
+    """The body of each ```python block of the README."""
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    return [block.split("```", 1)[0] for block in blocks]
+
+
 EXAMPLES = _readme_examples()
+PYTHON_BLOCKS = _readme_python_blocks()
 
 
 def test_examples_are_found():
     # a parse that finds nothing would leave the tests below with no cases
-    assert DEMOS and len(EXAMPLES) == 2
+    assert DEMOS and len(EXAMPLES) == 2 and len(PYTHON_BLOCKS) == 1
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -52,3 +59,9 @@ def test_demo_runs(demo):
 def test_readme_cli_example_prints_what_it_shows(argv, shown, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_readme_python_blocks_run():
+    # the library sketch names real import paths and calls that succeed
+    for block in PYTHON_BLOCKS:
+        exec(compile(block, "README.md", "exec"), {})

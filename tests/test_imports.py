@@ -1,0 +1,68 @@
+"""The package's import graph: what each module loads, and that it uses it.
+
+The closed forms and the Fock oracle must stay two independent routes, so
+importing one may not load the other.  Each module is imported in a fresh
+interpreter and the varqfi modules it loaded are compared with the exact set
+it needs.  The source is also read for imported names that are never used.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# module imported -> every varqfi submodule that import may load
+CLOSURE = {
+    "varqfi": set(),
+    "varqfi.bounds": {"bounds", "numerics"},
+    "varqfi.waveform": {"waveform", "numerics"},
+    "varqfi.qfi_oracle": {"qfi_oracle", "channels", "fock_core", "numerics"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(CLOSURE))
+def test_import_loads_only_what_the_module_needs(module):
+    code = (
+        "import sys, %s\n"
+        "print(' '.join(sorted(name[7:] for name in sys.modules"
+        " if name.startswith('varqfi.'))))" % module
+    )
+    path = [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == CLOSURE[module]
+
+
+def _unused_imports(tree):
+    """Names an import statement binds that no expression in tree reads."""
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_unused_import_finder_sees_one():
+    source = "import os, sys\nfrom typing import Callable as C, List\nsys.exit(List)"
+    tree = ast.parse(source)
+    assert _unused_imports(tree) == ["C", "os"]
+
+
+MODULES = sorted((SRC / "varqfi").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

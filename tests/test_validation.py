@@ -13,7 +13,6 @@ import pytest
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
-    cq_min_loss_zero_T,
     exact_qfi_squeezed,
     im_opt_squeezed,
     phase_variance_bound_full,
@@ -51,7 +50,6 @@ MODEL = OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
 ENTRY_POINTS = [
     ("eq15:eta", "eta", lambda x: cq_min_loss_thermal(M, x, 0.5)),
     ("eq15:n_T", "nonneg", lambda x: cq_min_loss_thermal(M, 0.8, x)),
-    ("eq16:eta", "eta", lambda x: cq_min_loss_zero_T(M, x)),
     ("eq17:r", "nonneg", lambda x: exact_qfi_squeezed(x, 0.8, 0.5)),
     ("eq17:eta", "eta", lambda x: exact_qfi_squeezed(0.5, x, 0.5)),
     ("eq17:n_T", "nonneg", lambda x: exact_qfi_squeezed(0.5, 0.8, x)),

@@ -16,7 +16,6 @@ from varqfi.waveform import (
     mse_bound_optimized,
     scaling_construction_D,
     sigma_tilde,
-    solve_gamma,
     spectral_cq,
 )
 from varqfi.waveform import _mse_integrand
@@ -70,7 +69,8 @@ def test_info_deficit_is_the_textbook_form(kappa, p, lambda_c, omega):
 def test_solve_gamma_worked_example():
     # R+ = 16: x = 3/5, bracket = 15*0.4 + (1/16 - 1)*1.6 = 4.5
     for flux in (1.0, 2.5, 1e6):
-        assert abs(solve_gamma(16.0, flux) - 16.0 * flux / 4.5) < 1e-12 * flux
+        gamma = OpoSpectrumModel(16.0, flux).gamma_cavity
+        assert abs(gamma - 16.0 * flux / 4.5) < 1e-12 * flux
 
 
 def test_solve_gamma_bracket_simplification():
@@ -82,7 +82,7 @@ def test_solve_gamma_bracket_simplification():
         with mpmath.workdps(50):
             root = mpmath.sqrt(mpmath.mpf(r_plus))
             simplified = float(2 * (root - 1) ** 2 / root)
-        got = solve_gamma(r_plus, 7.0)
+        got = OpoSpectrumModel(r_plus, 7.0).gamma_cavity
         assert abs(got - 16.0 * 7.0 / simplified) < 1e-10 * got
 
 
@@ -98,22 +98,22 @@ def test_solve_gamma_matches_mpmath(r_plus):
         x = (mpmath.sqrt(rp) - 1) / (mpmath.sqrt(rp) + 1)
         bracket = (rp - 1) * (1 - x) + (1 / rp - 1) * (1 + x)
         want = float(16 * 7 / bracket)
-    got = solve_gamma(r_plus, 7.0)
+    got = OpoSpectrumModel(r_plus, 7.0).gamma_cavity
     assert abs(got - want) <= 1e-14 * want
 
 
 def test_solve_gamma_linear_in_flux():
-    g1 = solve_gamma(9.0, 1.0)
-    assert abs(solve_gamma(9.0, 250.0) - 250.0 * g1) < 1e-9 * g1
+    g1 = OpoSpectrumModel(9.0, 1.0).gamma_cavity
+    assert abs(OpoSpectrumModel(9.0, 250.0).gamma_cavity - 250.0 * g1) < 1e-9 * g1
 
 
 def test_solve_gamma_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        solve_gamma(1.0, 2.0)
+        OpoSpectrumModel(1.0, 2.0)
     with pytest.raises(ValueError):
-        solve_gamma(0.5, 2.0)
+        OpoSpectrumModel(0.5, 2.0)
     with pytest.raises(ValueError):
-        solve_gamma(4.0, 0.0)
+        OpoSpectrumModel(4.0, 0.0)
 
 
 def test_opo_model_derived_fields():
