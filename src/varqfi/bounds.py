@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import check_eta, check_nonneg
+from .numerics import check_eta, check_nonneg, check_squeezing
 
 __all__ = [
     "cq_min_loss_thermal",
@@ -42,7 +42,7 @@ def _squeezed_aux(r, eta, n_T):
     computed as 1 + (v - u)(v + u) with v - u = eta e^{-2r}
     + (1 - eta)(2 n_T + 1): every term is nonnegative, so nothing cancels.
     """
-    check_nonneg(r, "r")
+    check_squeezing(r)
     check_eta(eta)
     check_nonneg(n_T, "n_T")
     u = eta * math.sinh(2.0 * r)
@@ -85,9 +85,11 @@ def exact_qfi_squeezed(r, eta, n_T):
     """Exact phase QFI of a squeezed vacuum after loss: 4u^2/w.
 
     w = 1 + v^2 - u^2 in the cancellation-free form of _squeezed_aux.
+    Evaluated as 4u(u/w): u/w stays near 1 for strong squeezing, where u^2
+    alone overflows (r above about 177 at eta = 1/2).
     """
     u, w = _squeezed_aux(r, eta, n_T)
-    return 4.0 * u**2 / w
+    return 4.0 * u * (u / w)
 
 
 def cq_min_loss_diffusion(m, eta, lam):
@@ -121,13 +123,13 @@ def im_opt_squeezed(r, eta, lam):
     nonnegative terms.  The mean of the observable rides on second-order
     coherences, damped by e^{-4 lam^2} and squared in the numerator; its
     variance picks up fourth-order coherences, damped by e^{-16 lam^2} in
-    the denominator.  At lam = 0 it reduces to exact_qfi_squeezed(r, eta,
-    0) identically.
+    the denominator.  Evaluated in the order of exact_qfi_squeezed, 4u(u/den),
+    so at lam = 0 it reduces to exact_qfi_squeezed(r, eta, 0) identically.
     """
     check_nonneg(lam, "lam")
     u, w = _squeezed_aux(r, eta, 0.0)
     den = w - 1.5 * u**2 * math.expm1(-16.0 * lam**2)
-    return 4.0 * u**2 * math.exp(-8.0 * lam**2) / den
+    return 4.0 * u * (u / den) * math.exp(-8.0 * lam**2)
 
 
 def raw_cq_loss_thermal(m, eta, n_T, alpha, beta, gamma):

@@ -460,7 +460,7 @@ def main(argv=None):
         args = parser.parse_args(rest[:1] + files + rest[1:])
         _check_outputs(args)
         return args.func(args)
-    except (AccuracyError, OptimizationError, TruncationError) as exc:
+    except (AccuracyError, OptimizationError, TruncationError, OverflowError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_nonneg
+from .numerics import check_nonneg, check_squeezing
 
 __all__ = [
     "MAX_PRODUCT_DIM",
@@ -139,9 +139,7 @@ def squeezed_dim(r):
     Sums the squares of _squeezed_amplitudes, the same kept mass that
     squeezed_vacuum checks, so squeezed_vacuum(r, squeezed_dim(r)) holds.
     """
-    check_nonneg(r, "r")
-    if r == 0:
-        return 2
+    check_squeezing(r)
     cum = 0.0
     for m, amp in enumerate(_squeezed_amplitudes(r)):
         cum += amp * amp
@@ -162,7 +160,7 @@ def squeezed_vacuum(r, dim):
     blind to it).  Raises TruncationError when the discarded probability
     mass exceeds the truncation rule, suggesting an adequate dim.
     """
-    check_nonneg(r, "r")
+    check_squeezing(r)
     _check_dim(dim)
     amps = np.zeros(dim, dtype=complex)
     kept = 0.0

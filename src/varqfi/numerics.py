@@ -28,6 +28,7 @@ __all__ = [
     "ScalarMax",
     "check_eta",
     "check_nonneg",
+    "check_squeezing",
     "integrate",
     "integrate_semi_infinite",
     "maximize_scalar",
@@ -36,7 +37,7 @@ __all__ = [
 
 
 class AccuracyError(RuntimeError):
-    """Quadrature could not reach the requested tolerance.
+    """Quadrature met a non-finite integrand or could not reach its tolerance.
 
     Carries the best estimate computed so far in ``best`` and its error
     estimate in ``err_estimate`` so callers can decide whether to accept it.
@@ -49,7 +50,7 @@ class AccuracyError(RuntimeError):
 
 
 class OptimizationError(RuntimeError):
-    """Optimizer hit its iteration cap; carries the best iterate found."""
+    """Non-finite objective or iteration cap hit; carries the best iterate found."""
 
     def __init__(self, message, best_x=None, best_value=math.nan):
         super().__init__(message)
@@ -67,6 +68,12 @@ def check_nonneg(value, name):
     """Reject a negative or NaN value of the parameter called name."""
     if not value >= 0.0:
         raise ValueError(f"{name} must be nonnegative")
+
+
+def check_squeezing(r):
+    """Reject a negative, NaN or infinite squeezing r (sinh r = inf gives NaNs)."""
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be nonnegative and finite")
 
 
 # 15-point Kronrod rule with its embedded 7-point Gauss rule on [-1, 1].
@@ -108,7 +115,7 @@ def _gk15_panel(f, a, b):
 
     The value is a float for a scalar integrand and a length-m array for a
     vector one; the error estimate is |kronrod - gauss|, its largest entry
-    for a vector.  A non-finite value raises ValueError, found from the
+    for a vector.  A non-finite value raises AccuracyError, found from the
     Kronrod sum alone (each entry of it for a vector): see the module notes.
     """
     mid = 0.5 * (a + b)
@@ -118,14 +125,14 @@ def _gk15_panel(f, a, b):
     if y.shape == x.shape:
         kron = half * float(_WK.dot(y))
         if not math.isfinite(kron):
-            raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
+            raise AccuracyError(f"integrand returned a non-finite value on [{a}, {b}]")
         gauss = half * float(_WG.dot(y))
         return kron, abs(kron - gauss)
     if y.ndim != 2 or y.shape[0] != x.size:
         raise ValueError("integrand must return one value or one row per abscissa")
     kron = half * (_WK @ y)
     if not np.isfinite(kron).all():
-        raise ValueError(f"integrand returned a non-finite value on [{a}, {b}]")
+        raise AccuracyError(f"integrand returned a non-finite value on [{a}, {b}]")
     gauss = half * (_WG @ y)
     return kron, float(np.max(np.abs(kron - gauss)))
 
@@ -149,7 +156,7 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         panel it returns either 15 values (a scalar integral) or a (15, m)
         array, one row per abscissa (a vector integral of length m).
     a, b : float
-        Finite endpoints. a > b integrates with the usual sign flip.
+        Finite endpoints with a < b; anything else raises ValueError.
     rel_tol, abs_tol : float
         Subdivision stops once the summed panel error estimate drops below
         max(abs_tol, rel_tol*|value|).  For a vector integral each panel's
@@ -166,16 +173,9 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         error estimate is the conservative sum of per-panel Kronrod-Gauss
         differences, and so bounds every entry of a vector value.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate requires finite endpoints")
-    if a == b:
-        return 0.0, 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
+    a, b = float(a), float(b)
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise ValueError("integrate requires finite endpoints a < b")
 
     val, err = _gk15_panel(f, a, b)
     if isinstance(val, float):
@@ -191,14 +191,14 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
             raise AccuracyError(
                 f"quadrature did not converge within {max_panels} panels "
                 f"(error estimate {total_err:.3e})",
-                best=sign * total_val,
+                best=total_val,
                 err_estimate=total_err,
             )
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         if perr <= 0.0 or (pb - pa) <= 1e-15 * max(1.0, abs(pa), abs(pb)):
             raise AccuracyError(
                 "panel width reached the roundoff floor before the tolerance",
-                best=sign * total_val,
+                best=total_val,
                 err_estimate=total_err,
             )
         pm = 0.5 * (pa + pb)
@@ -211,34 +211,26 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         count += 1
         heapq.heappush(heap, (-e2, count, pm, pb, v2, e2))
         count += 1
-        if count % 512 == 0:
-            # refresh the running sums to shed accumulated cancellation
-            total_val = fsum(item[4] for item in heap)
-            total_err = math.fsum(item[5] for item in heap)
-
-    total_val = fsum(item[4] for item in heap)
-    total_err = max(math.fsum(item[5] for item in heap), 0.0)
-    return sign * total_val, total_err
+    return fsum(item[4] for item in heap), math.fsum(item[5] for item in heap)
 
 
-def integrate_semi_infinite(f, a, rel_tol=1e-8, abs_tol=0.0, max_panels=20_000):
+def integrate_semi_infinite(f, a, rel_tol=1e-8):
     """Integrate f over [a, infinity) via the substitution w = a + t/(1-t).
 
     The integrand must decay at least as w**(-p) with p > 1 for the
     transformed integral to be proper.  f must return one value per
     abscissa; a vector integrand is rejected with ValueError.  Returns the
-    value; accuracy failures raise AccuracyError from the underlying
-    finite-interval rule.
+    value of integrate on t in [0, 1] with abs_tol 0 and a 20,000-panel
+    budget; accuracy failures raise AccuracyError from that rule.
     """
+    # 0-d arrays: numpy mixes them with the abscissae faster than Python floats
+    one, floor, a = np.array(1.0), np.array(1e-17), np.array(float(a))
 
     def transformed(t):
-        comp = np.maximum(1.0 - t, 1e-17)
+        comp = np.maximum(one - t, floor)
         return np.asarray(f(a + t / comp), dtype=float).reshape(t.shape) / (comp * comp)
 
-    value, _ = integrate(
-        transformed, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
-    )
-    return value
+    return integrate(transformed, 0.0, 1.0, rel_tol=rel_tol, max_panels=20_000)[0]
 
 
 class ScalarMax(NamedTuple):
@@ -249,28 +241,26 @@ class ScalarMax(NamedTuple):
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN_POINTS = 33
+_ARGMAX_TOL = 1e-6
 
 
-def maximize_scalar(f, lo, hi, tol=1e-6):
+def maximize_scalar(f, lo, hi):
     """Locate a scalar maximum of f on [lo, hi].
 
     A 33-point grid pre-scan picks the bracket (so mild multimodality is
-    survivable), then golden-section refines it to an argmax interval of
-    width tol.  A flat objective (grid spread at roundoff level) returns
-    the interval midpoint with ``flat=True``.  The returned value is never
-    below the best pre-scan sample.
+    survivable; a non-finite sample raises OptimizationError), then
+    golden-section refines it to an argmax interval of width _ARGMAX_TOL.
+    A flat objective (grid spread at roundoff level) returns the interval
+    midpoint with ``flat=True``.  The value is never below the best sample.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise ValueError("maximize_scalar requires hi > lo")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
 
     xs = np.linspace(lo, hi, _PRESCAN_POINTS)
     fs = np.array([float(f(x)) for x in xs])
     if not np.all(np.isfinite(fs)):
-        raise ValueError("objective returned a non-finite value during pre-scan")
+        raise OptimizationError("objective returned a non-finite value during pre-scan")
     spread = float(fs.max() - fs.min())
     if spread <= 1e-13 * max(1.0, abs(float(fs.max()))):
         mid = 0.5 * (lo + hi)
@@ -285,7 +275,7 @@ def maximize_scalar(f, lo, hi, tol=1e-6):
     x2 = a + _INV_PHI * (b - a)
     f1 = float(f(x1))
     f2 = float(f(x2))
-    while b - a > tol:
+    while b - a > _ARGMAX_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)

@@ -50,6 +50,12 @@ def test_bound_worked_examples(capsys):
         assert code == 0, err
         assert out == "%s r=10 eta=1 %s value=1.17692633419e+17\n" % (name, tail)
 
+    # u^2 overflows here, 4u(u/w) does not; values from 60-digit mpmath
+    for r, value in (("178", "4.06289461491e+154"), ("300", "3.77302030093e+260")):
+        code, out, err = _run(capsys, "bound", "eq17", "r=" + r, "eta=0.5")
+        assert code == 0, err
+        assert out == "eq17 r=%s eta=0.5 nT=0 value=%s\n" % (r, value)
+
 
 def test_bound_defaults_fill_in(capsys):
     code, out, _ = _run(capsys, "bound", "eq21", "mean_n=1", "var_n=4")
@@ -141,6 +147,10 @@ def test_bound_parameter_errors(capsys):
     assert code == 2
     assert "key=value" in err
 
+    code, _, err = _run(capsys, "bound", "eq17", "r=abc")
+    assert code == 2
+    assert "parameter r needs a number, got 'abc'" in err
+
 
 def test_oracle_lossless_pure_probe(capsys):
     code, out, _ = _run(capsys, "oracle", "r=0.3", "eta=1", "nT=0", "lambda=0")
@@ -168,6 +178,11 @@ def test_exit_code_numerical_failure(capsys):
     code, _, err = _run(capsys, "oracle", "r=0.8", "eta=0.8", "nT=2", "lambda=0.1")
     assert code == 3
     assert "numerical failure" in err and "exceeds the cap" in err
+    # a result beyond float range is a numerical failure, not a traceback
+    for argv in (("bound", "eq25", "r=178", "lambda=0.1"), ("fig2", "--r-max", "400")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "numerical failure" in err
 
 
 def test_exit_code_invalid_physics(capsys):
@@ -182,11 +197,22 @@ def test_exit_code_invalid_physics(capsys):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "usage error: %s must be nonnegative" % name in err
+    # infinite squeezing used to print value=nan and exit 0
+    for argv in (
+        ("bound", "eq17", "r=inf"), ("bound", "eq25", "r=inf"), ("oracle", "r=inf")
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "usage error: r must be nonnegative and finite" in err
     # an out-of-range transmission in the fig3 list is misuse, not a CSV row
     for etas in ("nan", "1.5", "1.0,0"):
         code, out, err = _run(capsys, "fig3", "--eta-list", etas, "--n-points", "2")
         assert (code, out) == (2, "")
         assert "usage error: eta must lie in (0, 1]" in err
+    for etas, message in (("0.9,abc", "expected a comma"), (",", "empty list")):
+        code, out, err = _run(capsys, "fig3", "--eta-list", etas, "--n-points", "2")
+        assert (code, out) == (2, "")
+        assert "usage error: " + message in err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "0", "1", "inf"])
@@ -505,7 +531,10 @@ def test_bad_grid_specs(capsys):
 
 def test_config_supplies_defaults_flags_win(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("eta = 0.5   # overridden by the explicit flag\nn-points = 3\n")
+    # a blank line and a comment-only line give no flags
+    cfg.write_text(
+        "eta = 0.5   # overridden by the explicit flag\n\n# a comment\nn-points = 3\n"
+    )
     out = tmp_path / "fig1.csv"
     code, _, _ = _run(
         capsys, "fig1", "--eta", "0.8", "@" + str(cfg), "--out", str(out)

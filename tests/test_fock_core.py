@@ -52,6 +52,8 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))  # a NaN element
+    with pytest.raises(ValueError, match="dim x dim"):
+        DensityMatrix(3, np.eye(2))  # wrong shape
 
 
 def test_squeezed_vacuum_moments():
@@ -80,6 +82,9 @@ def test_squeezed_dim_is_minimal():
         with pytest.raises(TruncationError) as info:
             squeezed_vacuum(r, d - 1)
         assert info.value.suggested_dim == d
+    # no dim within the product cap holds r = 20
+    with pytest.raises(TruncationError, match="needs more than 4096 levels"):
+        squeezed_dim(20.0)
 
 
 def test_squeezed_vacuum_rejects_negative_r():
@@ -223,6 +228,8 @@ def test_sector_table_does_not_depend_on_build_history():
 def test_beam_splitter_product_cap():
     with pytest.raises(TruncationError):
         beam_splitter_apply(0.3, np.zeros(100 * 100), 100, 100)
+    with pytest.raises(ValueError, match="length dim_a \\* dim_b"):
+        beam_splitter_apply(0.3, np.zeros(11), 3, 4)
 
 
 def test_moments_number_state():
@@ -231,6 +238,8 @@ def test_moments_number_state():
     m = moments(FockVector(6, amps))
     assert m.mean_n == 3.0
     assert m.var_n == 0.0
+    with pytest.raises(TypeError):
+        moments(3)
 
 
 def test_input_moments_validation():

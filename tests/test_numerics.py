@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from varqfi import numerics
 from varqfi.numerics import (
     AccuracyError,
+    OptimizationError,
     integrate,
     integrate_semi_infinite,
     loglog_slope,
@@ -77,7 +79,7 @@ BAD_NODES = pytest.mark.parametrize("node", [0, 6, 7, 14])
 @BAD_VALUES
 @BAD_NODES
 def test_integrate_rejects_one_non_finite_value(bad, node):
-    with pytest.raises(ValueError, match="non-finite value"):
+    with pytest.raises(AccuracyError, match="non-finite value"):
         integrate(_one_bad_node(bad, node), 0.0, 1.0)
 
 
@@ -90,7 +92,7 @@ def test_integrate_vector_rejects_one_non_finite_entry(bad, node):
         # the bad value sits in the last of three columns
         return np.column_stack([np.ones_like(x), x, ones(x)])
 
-    with pytest.raises(ValueError, match="non-finite value"):
+    with pytest.raises(AccuracyError, match="non-finite value"):
         integrate(f, 0.0, 1.0)
 
 
@@ -98,14 +100,16 @@ def test_integrate_vector_rejects_one_non_finite_entry(bad, node):
 @BAD_NODES
 def test_semi_infinite_rejects_one_non_finite_value(bad, node):
     decay = _one_bad_node(bad, node)
-    with pytest.raises(ValueError, match="non-finite value"):
+    with pytest.raises(AccuracyError, match="non-finite value"):
         integrate_semi_infinite(lambda w: decay(w) / (1.0 + w * w), 0.0)
 
 
-def test_integrate_reversed_limits_flip_sign():
-    forward, _ = integrate(np.sin, 0.0, 1.0)
-    backward, _ = integrate(np.sin, 1.0, 0.0)
-    assert abs(backward + forward) < 1e-14
+@pytest.mark.parametrize(
+    "a, b", [(1.0, 0.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)]
+)
+def test_integrate_rejects_endpoints_not_finite_and_increasing(a, b):
+    with pytest.raises(ValueError, match="finite endpoints a < b"):
+        integrate(np.sin, a, b)
 
 
 def test_integrate_accuracy_error_carries_best():
@@ -149,8 +153,9 @@ def test_even_integrand_halves_agree():
     assert abs(full - 2.0 * half) <= 2.0 * (err_full + 2 * err_half + 1e-12)
 
 
-def test_maximize_scalar_quadratic():
-    got = maximize_scalar(lambda x: -((x - 1.3) ** 2), 0.0, 3.0, tol=1e-9)
+def test_maximize_scalar_quadratic(monkeypatch):
+    monkeypatch.setattr(numerics, "_ARGMAX_TOL", 1e-9)
+    got = maximize_scalar(lambda x: -((x - 1.3) ** 2), 0.0, 3.0)
     assert abs(got.argmax - 1.3) < 1e-7
     assert not got.flat
 
@@ -178,6 +183,12 @@ def test_maximize_scalar_bad_bracket():
         maximize_scalar(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_maximize_scalar_non_finite_prescan_is_typed(bad):
+    with pytest.raises(OptimizationError, match="non-finite value during pre-scan"):
+        maximize_scalar(lambda x: bad if x > 0.5 else x, 0.0, 1.0)
+
+
 def test_loglog_slope_recovers_power_law():
     xs = np.logspace(0, 4, 9)
     ys = 3.7 * xs**-2.5
@@ -195,3 +206,5 @@ def test_loglog_slope_rejects_bad_input():
         loglog_slope([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+    with pytest.raises(ValueError, match="equal length"):
+        loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0])

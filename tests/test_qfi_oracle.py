@@ -228,6 +228,8 @@ def test_minimize_reports_failure_on_unbounded_objective():
     with pytest.raises(OptimizationError) as info:
         minimize_raw_cq(lambda x, y: x + y, np.array([0.0, 0.0]))
     assert info.value.best_x is not None
+    with pytest.raises(ValueError, match="1-d parameter vector"):
+        minimize_raw_cq(lambda x, y: x + y, np.zeros((2, 1)))
 
 
 @settings(max_examples=80, deadline=None)

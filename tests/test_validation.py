@@ -50,7 +50,7 @@ MODEL = OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
 ENTRY_POINTS = [
     ("eq15:eta", "eta", lambda x: cq_min_loss_thermal(M, x, 0.5)),
     ("eq15:n_T", "nonneg", lambda x: cq_min_loss_thermal(M, 0.8, x)),
-    ("eq17:r", "nonneg", lambda x: exact_qfi_squeezed(x, 0.8, 0.5)),
+    ("eq17:r", "squeezing", lambda x: exact_qfi_squeezed(x, 0.8, 0.5)),
     ("eq17:eta", "eta", lambda x: exact_qfi_squeezed(0.5, x, 0.5)),
     ("eq17:n_T", "nonneg", lambda x: exact_qfi_squeezed(0.5, 0.8, x)),
     ("eq21:eta", "eta", lambda x: cq_min_loss_diffusion(M, x, 0.1)),
@@ -58,7 +58,7 @@ ENTRY_POINTS = [
     ("eq22:eta", "eta", lambda x: phase_variance_bound_full(M, x, 0.5, 0.1)),
     ("eq22:n_T", "nonneg", lambda x: phase_variance_bound_full(M, 0.8, x, 0.1)),
     ("eq22:lam", "nonneg", lambda x: phase_variance_bound_full(M, 0.8, 0.5, x)),
-    ("eq25:r", "nonneg", lambda x: im_opt_squeezed(x, 0.8, 0.1)),
+    ("eq25:r", "squeezing", lambda x: im_opt_squeezed(x, 0.8, 0.1)),
     ("eq25:eta", "eta", lambda x: im_opt_squeezed(0.5, x, 0.1)),
     ("eq25:lam", "nonneg", lambda x: im_opt_squeezed(0.5, 0.8, x)),
     ("raw_thermal:eta", "eta", lambda x: raw_cq_loss_thermal(M, x, 0.5, 0, 0, 0)),
@@ -69,12 +69,12 @@ ENTRY_POINTS = [
     ("loss_pure:n_T", "nonneg", lambda x: lossy_thermal_channel_pure(PSI, 0.8, x, 12)),
     ("phase_diffusion:lam", "nonneg", lambda x: phase_diffusion(RHO, x)),
     ("diffusion_quad:lam", "nonneg", lambda x: phase_diffusion_by_quadrature(RHO, x)),
-    ("squeezed_dim:r", "nonneg", lambda x: squeezed_dim(x)),
-    ("squeezed_vacuum:r", "nonneg", lambda x: squeezed_vacuum(x, 12)),
+    ("squeezed_dim:r", "squeezing", lambda x: squeezed_dim(x)),
+    ("squeezed_vacuum:r", "squeezing", lambda x: squeezed_vacuum(x, 12)),
     ("thermal_dim:n_T", "nonneg", lambda x: thermal_dim(x)),
     ("InputMoments:mean_n", "nonneg", lambda x: InputMoments(x, 1.0)),
     ("InputMoments:var_n", "nonneg", lambda x: InputMoments(1.0, x)),
-    ("oracle:r", "nonneg", lambda x: squeezed_probe_qfi(x, 0.8)),
+    ("oracle:r", "squeezing", lambda x: squeezed_probe_qfi(x, 0.8)),
     ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
     ("oracle:n_T", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
     ("oracle:lam", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
@@ -85,7 +85,12 @@ ENTRY_POINTS = [
     ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
 ]
 
-BAD_VALUES = {"nonneg": (math.nan, -0.1), "eta": (math.nan, -0.1, 0.0, 1.5)}
+# r = inf would make sinh and cosh inf, and every result inf or NaN
+BAD_VALUES = {
+    "nonneg": (math.nan, -0.1),
+    "squeezing": (math.nan, -0.1, math.inf),
+    "eta": (math.nan, -0.1, 0.0, 1.5),
+}
 
 CASES = [
     pytest.param(call, value, id="%s=%r" % (name, value))
