@@ -27,8 +27,10 @@ for r in (0.2, 0.5, 0.8):
 print()
 print("The oracle sizes both registers so the beam splitter can move every")
 print("populated photon sector between probe and bath without clipping;")
-print("shrink dim below that and the pipeline refuses rather than degrade:")
-try:
-    squeezed_probe_qfi(0.5, 0.8, dim=6)
-except Exception as exc:
-    print(f"  dim=6 -> {type(exc).__name__}: {exc}")
+print("shrink either register below that and the pipeline refuses rather")
+print("than degrade:")
+for key, size in (("dim", 6), ("bath_dim", 2)):
+    try:
+        squeezed_probe_qfi(0.5, 0.8, **{key: size})
+    except Exception as exc:
+        print(f"  {key}={size} -> {type(exc).__name__}: {exc}")

@@ -22,12 +22,12 @@ grid = list(np.logspace(2, 7, 11))
 print(f"{'flux N':>10} {'lossless':>12} {'eta=0.95':>12} {'beta*':>9}")
 lossless = fig3_curve(1.0, grid)
 lossy = fig3_curve(0.95, grid)
-for ll, lo in zip(lossless, lossy):
-    print(f"{ll.flux_N:>10.3g} {ll.bound:>12.4e} {lo.bound:>12.4e} {lo.beta_star:>9.3f}")
+for flux, ll, lo in zip(grid, lossless, lossy):
+    print(f"{flux:>10.3g} {ll.bound:>12.4e} {lo.bound:>12.4e} {lo.beta_star:>9.3f}")
 
 top = (grid[0] * 1e3, grid[-1])  # fit the top decades, away from the knee
-s_lossless = loglog_slope([r.flux_N for r in lossless], [r.bound for r in lossless], top)
-s_lossy = loglog_slope([r.flux_N for r in lossy], [r.bound for r in lossy], top)
+s_lossless = loglog_slope(grid, [r.bound for r in lossless], top)
+s_lossy = loglog_slope(grid, [r.bound for r in lossy], top)
 print()
 print(f"fitted slopes: lossless {s_lossless:.3f} (ideal -2/3), "
       f"eta=0.95 {s_lossy:.3f} (ideal -1/2)")

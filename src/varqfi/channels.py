@@ -25,7 +25,7 @@ from .fock_core import (
     beam_splitter_apply,
     thermal_dim,
 )
-from .numerics import check_eta, check_nonneg, integrate
+from .numerics import check_eta, check_finite_nonneg, integrate
 
 __all__ = [
     "phase_shift",
@@ -90,7 +90,7 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
 
 def phase_diffusion(rho, lam):
     """Gaussian dephasing: rho_lk -> exp(-lam^2 (l-k)^2) rho_lk."""
-    check_nonneg(lam, "lam")
+    check_finite_nonneg(lam, "lam")
     k = np.arange(rho.dim)
     damp = np.exp(-(lam**2) * np.subtract.outer(k, k) ** 2)
     return DensityMatrix(rho.dim, rho.elems * damp)
@@ -117,7 +117,7 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     budget cannot reach abs_tol.  Serves as the independent oracle for the
     entrywise phase_diffusion map.
     """
-    check_nonneg(lam, "lam")
+    check_finite_nonneg(lam, "lam")
     if lam == 0.0:
         return DensityMatrix(rho.dim, rho.elems.copy())
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam**2)

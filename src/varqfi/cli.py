@@ -61,7 +61,11 @@ def _cell(value):
 def _log_grid(lo, hi, points):
     if not (0.0 < lo < hi < math.inf and points >= 2):  # NaN fails too
         raise UsageError("grid needs 0 < min < max < inf and at least 2 points")
-    return np.logspace(math.log10(lo), math.log10(hi), int(points)).tolist()
+    with np.errstate(over="ignore"):  # checked below
+        grid = np.logspace(math.log10(lo), math.log10(hi), int(points)).tolist()
+    if grid[-1] == math.inf:  # 10**log10(max) rounds past the largest float
+        raise UsageError("grid max %r is too close to the largest float" % hi)
+    return grid
 
 
 def _lin_grid(lo, hi, points):
@@ -165,17 +169,21 @@ def _fig2_setup(args):
         fq = squeezed_probe_qfi(r, args.eta, 0.0, args.lam, dim=dim, bath_dim=dim)
         return mean_n, cq, im, fq
 
-    header = ("mean_n", "cq_min", "im_opt")
-    if args.with_oracle:
-        header += ("oracle_qfi",)
+    def keys():
+        yield from zip(r_grid)
+        # after the last row, so a table that fails prints its error line alone
         skipped = sum(1 for r in r_grid if r > ORACLE_R_MAX)
-        if skipped:
+        if args.with_oracle and skipped:
             print(
                 "warning: oracle column left empty for %d rows with r > %g "
                 "(beyond the truncation-safe range)" % (skipped, ORACLE_R_MAX),
                 file=sys.stderr,
             )
-    return header, zip(r_grid), row
+
+    header = ("mean_n", "cq_min", "im_opt")
+    if args.with_oracle:
+        header += ("oracle_qfi",)
+    return header, keys(), row
 
 
 def _fig3_setup(args):
@@ -188,8 +196,8 @@ def _fig3_setup(args):
     def row(eta, flux):
         try:
             (point,) = fig3_curve(eta, [flux], rel_tol=args.tol_rel)
-            return (point.flux_N, eta, point.bound, point.beta_star, "")
-        except (AccuracyError, OptimizationError, ValueError) as exc:
+            return (flux, eta, point.bound, point.beta_star, "")
+        except (AccuracyError, OptimizationError, OverflowError, ValueError) as exc:
             return (flux, eta, None, None, str(exc).replace(",", ";"))
 
     header = ("flux_N", "eta", "mse_bound", "beta_star", "error")

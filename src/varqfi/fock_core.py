@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_nonneg, check_squeezing
+from .numerics import check_finite_nonneg, check_nonneg
 
 __all__ = [
     "MAX_PRODUCT_DIM",
@@ -139,7 +139,7 @@ def squeezed_dim(r):
     Sums the squares of _squeezed_amplitudes, the same kept mass that
     squeezed_vacuum checks, so squeezed_vacuum(r, squeezed_dim(r)) holds.
     """
-    check_squeezing(r)
+    check_finite_nonneg(r, "r")
     cum = 0.0
     for m, amp in enumerate(_squeezed_amplitudes(r)):
         cum += amp * amp
@@ -160,7 +160,7 @@ def squeezed_vacuum(r, dim):
     blind to it).  Raises TruncationError when the discarded probability
     mass exceeds the truncation rule, suggesting an adequate dim.
     """
-    check_squeezing(r)
+    check_finite_nonneg(r, "r")
     _check_dim(dim)
     amps = np.zeros(dim, dtype=complex)
     kept = 0.0
@@ -179,11 +179,11 @@ def squeezed_vacuum(r, dim):
 
 def thermal_dim(n_T):
     """Smallest dim whose geometric tail mass is at most TAIL_MASS."""
-    check_nonneg(n_T, "n_T")
+    check_finite_nonneg(n_T, "n_T")
     if n_T == 0:
         return 2
-    q = n_T / (n_T + 1.0)
-    return max(2, math.ceil(math.log(TAIL_MASS) / math.log(q)))
+    # log q = -log1p(1/n_T), q = n_T/(n_T + 1): nonzero where q rounds to 1
+    return max(2, math.ceil(math.log(TAIL_MASS) / -math.log1p(1.0 / n_T)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -283,5 +283,5 @@ def moments(state):
         raise TypeError("moments expects a FockVector or DensityMatrix")
     k = np.arange(p.size, dtype=float)
     mean = float(k @ p)
-    second = float((k * k) @ p)
-    return InputMoments(mean, max(second - mean * mean, 0.0))
+    # about the mean, not <n^2> - <n>^2, which cancels to 0 for a narrow probe
+    return InputMoments(mean, float(((k - mean) ** 2) @ p))

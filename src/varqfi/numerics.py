@@ -28,7 +28,7 @@ __all__ = [
     "ScalarMax",
     "check_eta",
     "check_nonneg",
-    "check_squeezing",
+    "check_finite_nonneg",
     "integrate",
     "integrate_semi_infinite",
     "maximize_scalar",
@@ -70,10 +70,15 @@ def check_nonneg(value, name):
         raise ValueError(f"{name} must be nonnegative")
 
 
-def check_squeezing(r):
-    """Reject a negative, NaN or infinite squeezing r (sinh r = inf gives NaNs)."""
-    if not 0.0 <= r < math.inf:
-        raise ValueError("r must be nonnegative and finite")
+def check_finite_nonneg(value, name):
+    """Reject a negative, NaN or infinite value of the parameter called name.
+
+    For the squeezing r, the bath occupation n_T and the diffusion lam: an
+    infinite one turns the closed forms or the diffusion map into
+    inf - inf or 0 * inf, hence NaN.
+    """
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite")
 
 
 # 15-point Kronrod rule with its embedded 7-point Gauss rule on [-1, 1].
@@ -236,7 +241,6 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8):
 class ScalarMax(NamedTuple):
     argmax: float
     value: float
-    flat: bool
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -250,8 +254,7 @@ def maximize_scalar(f, lo, hi):
     A 33-point grid pre-scan picks the bracket (so mild multimodality is
     survivable; a non-finite sample raises OptimizationError), then
     golden-section refines it to an argmax interval of width _ARGMAX_TOL.
-    A flat objective (grid spread at roundoff level) returns the interval
-    midpoint with ``flat=True``.  The value is never below the best sample.
+    The value is never below the best sample.
     """
     lo, hi = float(lo), float(hi)
     if not hi > lo:
@@ -261,10 +264,6 @@ def maximize_scalar(f, lo, hi):
     fs = np.array([float(f(x)) for x in xs])
     if not np.all(np.isfinite(fs)):
         raise OptimizationError("objective returned a non-finite value during pre-scan")
-    spread = float(fs.max() - fs.min())
-    if spread <= 1e-13 * max(1.0, abs(float(fs.max()))):
-        mid = 0.5 * (lo + hi)
-        return ScalarMax(mid, float(f(mid)), True)
 
     k = int(np.argmax(fs))
     best_x, best_f = float(xs[k]), float(fs[k])
@@ -287,7 +286,7 @@ def maximize_scalar(f, lo, hi):
     for xc, fc in ((x1, f1), (x2, f2)):
         if fc > best_f:
             best_x, best_f = float(xc), float(fc)
-    return ScalarMax(best_x, best_f, False)
+    return ScalarMax(best_x, best_f)
 
 
 def loglog_slope(xs, ys, window=None):

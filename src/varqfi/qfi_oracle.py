@@ -13,7 +13,14 @@ import math
 import numpy as np
 
 from .channels import lossy_thermal_channel_pure, phase_diffusion
-from .fock_core import squeezed_dim, squeezed_vacuum, thermal_dim
+from .fock_core import (
+    MAX_PRODUCT_DIM,
+    TAIL_MASS,
+    TruncationError,
+    squeezed_dim,
+    squeezed_vacuum,
+    thermal_dim,
+)
 from .numerics import OptimizationError
 
 __all__ = [
@@ -129,6 +136,23 @@ def oracle_dim(r, n_T):
     return squeezed_dim(r) + thermal_dim(n_T) - 1
 
 
+def _dropped_mass(psi, n_T, bath_dim):
+    """Probability the loss channel's truncated registers cannot hold.
+
+    The thermal bath's tail beyond bath_dim, q^bath_dim with
+    q = n_T/(n_T + 1), plus the clipped mass: bath level k, of weight
+    (1 - q) q^k, lifts probe level n into photon-number sector n + k, and
+    the registers hold that sector whole only below min(psi.dim, bath_dim).
+    """
+    q = n_T / (n_T + 1.0)
+    levels = np.arange(bath_dim)
+    # at_least[j] = P(n >= j), summed from the tail up; at_least[dim] = 0
+    at_least = np.append(np.cumsum(np.abs(psi.amps[::-1]) ** 2)[::-1], 0.0)
+    first_clipped = np.maximum(min(psi.dim, bath_dim) - levels, 0)
+    clipped = (1.0 - q) * q**levels * at_least[first_clipped]
+    return q**bath_dim + float(clipped.sum())
+
+
 def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     """Oracle QFI of a squeezed vacuum after loss and phase diffusion.
 
@@ -137,13 +161,29 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     loss then diffusion, and evaluates the QFI at the working point (the
     closing phase shift commutes with both noise maps and does not change
     the QFI).  dim and bath_dim override the automatic sizing, which is
-    oracle_dim(r, n_T) for both.
+    oracle_dim(r, n_T) for both.  Sizes whose product exceeds
+    MAX_PRODUCT_DIM, checked before anything is built, or that drop more
+    than TAIL_MASS of the probability (_dropped_mass) raise TruncationError
+    suggesting oracle_dim(r, n_T).
     """
-    if dim is None:
-        dim = oracle_dim(r, n_T)
-    if bath_dim is None:
-        bath_dim = dim
+    rule = oracle_dim(r, n_T)
+    dim = rule if dim is None else dim
+    bath_dim = dim if bath_dim is None else bath_dim
+    if dim * bath_dim > MAX_PRODUCT_DIM:
+        raise TruncationError(
+            f"dim*bath_dim={dim * bath_dim} exceeds the cap {MAX_PRODUCT_DIM} "
+            f"(the truncation rule sizes both registers at {rule})",
+            suggested_dim=rule,
+        )
     psi = squeezed_vacuum(r, dim)
+    dropped = _dropped_mass(psi, n_T, bath_dim)
+    if dropped > TAIL_MASS:
+        raise TruncationError(
+            f"dim={dim}, bath_dim={bath_dim} drop probability {dropped:.3e} to the "
+            f"bath tail and clipped sectors, above {TAIL_MASS:g} (the truncation "
+            f"rule sizes both registers at {rule})",
+            suggested_dim=rule,
+        )
     rho = lossy_thermal_channel_pure(psi, eta, n_T, bath_dim)
     if lam != 0.0:
         rho = phase_diffusion(rho, lam)

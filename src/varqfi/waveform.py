@@ -30,7 +30,6 @@ __all__ = [
     "SpectralCqParams",
     "OptimizedBound",
     "ScalingConstruction",
-    "Fig3Row",
     "sigma_tilde",
     "spectral_cq",
     "mse_bound",
@@ -88,8 +87,9 @@ def _pump_and_rate(R_plus, flux_N):
     x = (sqrt(R+) - 1)/(sqrt(R+) + 1), has the bracket
     2 (sqrt(R+) - 1)^2 / sqrt(R+).  g = sqrt(R+) - 1 is computed as
     (R+ - 1)/(sqrt(R+) + 1), which keeps its relative precision as R+ -> 1;
-    then x = g/(sqrt(R+) + 1) and gamma = 16 N sqrt(R+)/(2 g^2), finite and
-    positive for every R+ > 1.
+    then x = g/(sqrt(R+) + 1) and gamma = 16 N sqrt(R+)/(2 g^2).  Where x
+    rounds to 1 (R+ above about 1e32) or gamma overflows, the spectrum has
+    no representable shape, and ValueError is raised.
     """
     if not R_plus > 1.0:
         raise ValueError("R_plus must exceed 1")
@@ -97,7 +97,10 @@ def _pump_and_rate(R_plus, flux_N):
         raise ValueError("flux_N must be positive")
     root = math.sqrt(R_plus)
     g = (R_plus - 1.0) / (root + 1.0)
-    return g / (root + 1.0), 16.0 * flux_N * root / (2.0 * g * g)
+    x, gamma = g / (root + 1.0), 16.0 * flux_N * root / (2.0 * g * g)
+    if not (x < 1.0 and gamma < math.inf):
+        raise ValueError("R_plus or flux_N so large that x rounds to 1 or gamma overflows")
+    return x, gamma
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class OpoSpectrumModel:
     R_minus = 1/R_plus, the normalized pump amplitude
     x = (sqrt(R+) - 1)/(sqrt(R+) + 1) and the cavity decay rate
     gamma_cavity that yields the flux (_pump_and_rate) are derived at
-    construction, finite and positive for every R_plus > 1.
+    construction, finite and positive wherever _pump_and_rate accepts R_plus.
     """
 
     R_plus: float
@@ -226,7 +229,6 @@ def mse_bound(prior, model, params, rel_tol=1e-10):
 class OptimizedBound(NamedTuple):
     beta_star: float
     bound: float
-    flat: bool
 
 
 def mse_bound_optimized(prior, model, eta, rel_tol=1e-10):
@@ -235,20 +237,19 @@ def mse_bound_optimized(prior, model, eta, rel_tol=1e-10):
     Searches beta in [min(eta/(eta-1), 0) - 10, 1], which contains both
     analytically distinguished values (1 and the flat-channel
     eta/(eta-1)).  At eta = 1 the cost is beta-independent, so the bound
-    is evaluated once at beta = 1 and flagged flat by convention.
+    is evaluated once, with beta_star = 1 by convention.
     """
     check_eta(eta)
     if eta == 1.0:
         value = mse_bound(prior, model, SpectralCqParams(1.0, 1.0), rel_tol=rel_tol)
-        return OptimizedBound(1.0, value, True)
+        return OptimizedBound(1.0, value)
     ratio = eta / (eta - 1.0)
     lo = min(ratio, 0.0) - 10.0
 
     def objective(beta):
         return mse_bound(prior, model, SpectralCqParams(eta, beta), rel_tol=rel_tol)
 
-    argmax, value, flat = maximize_scalar(objective, lo, 1.0)
-    return OptimizedBound(argmax, value, flat)
+    return OptimizedBound(*maximize_scalar(objective, lo, 1.0))
 
 
 class ScalingConstruction(NamedTuple):
@@ -284,26 +285,14 @@ def scaling_construction_D(flux_N, mu, eta, kappa, p):
     return ScalingConstruction(d, 8.0 * math.pi * flux_N**2 / mu)
 
 
-class Fig3Row(NamedTuple):
-    flux_N: float
-    beta_star: float
-    bound: float
-    flat: bool
-
-
 def fig3_curve(eta, N_grid, rel_tol=1e-8):
     """HL-to-SQL transition curve: optimized MSE bound per photon flux.
 
     For each flux value the anti-squeezing level is R = 16 N^(1/3), the
     cavity rate solves the flux equation, and the bound is maximized over
     beta, all under the unit-scale Lorentzian prior kappa = lambda_c = 1
-    (p = 2).
+    (p = 2).  Returns one OptimizedBound per flux, in grid order.
     """
     prior = PriorSpectrum(kappa=1.0, p=2.0, lambda_c=1.0)
-    rows = []
-    for flux in N_grid:
-        model = OpoSpectrumModel(16.0 * float(flux) ** (1.0 / 3.0), float(flux))
-        beta_star, bound, flat = mse_bound_optimized(prior, model, eta,
-                                                     rel_tol=rel_tol)
-        rows.append(Fig3Row(float(flux), beta_star, bound, flat))
-    return rows
+    models = (OpoSpectrumModel(16.0 * float(n) ** (1.0 / 3.0), float(n)) for n in N_grid)
+    return [mse_bound_optimized(prior, m, eta, rel_tol=rel_tol) for m in models]

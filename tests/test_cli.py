@@ -4,6 +4,7 @@ import io
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,10 +180,102 @@ def test_exit_code_numerical_failure(capsys):
     assert code == 3
     assert "numerical failure" in err and "exceeds the cap" in err
     # a result beyond float range is a numerical failure, not a traceback
-    for argv in (("bound", "eq25", "r=178", "lambda=0.1"), ("fig2", "--r-max", "400")):
+    for argv in (("bound", "eq17", "r=178", "eta=1"), ("fig2", "--r-max", "400")):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2r overflowed to inf, and these printed value=nan
+        ("bound", "eq17", "r=1e308", "eta=0.5"),
+        ("bound", "eq25", "r=1e308"),
+        # printed value=inf; the true value is 8.25e308
+        ("bound", "eq17", "r=178", "eta=1"),
+        # printed value=inf; 4 var_n is 4e308
+        ("bound", "eq15", "mean_n=1", "var_n=1e308"),
+    ],
+)
+def test_value_beyond_float_range_exits_3(argv, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        # u^2 overflowed and this exited 3; 16.648902154 from 50-digit mpmath
+        (("bound", "eq25", "r=178", "lambda=0.1"), "16.648902154"),
+        # lam**2 overflowed and this exited 3; the bound rounds to 0
+        (("bound", "eq21", "mean_n=1", "var_n=1", "lambda=1e200"), "0"),
+        (("bound", "eq25", "r=1", "lambda=1e200"), "0"),
+    ],
+)
+def test_value_with_an_overflowing_intermediate_is_printed(argv, value, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert out.endswith(" value=%s\n" % value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "r=0.8", "eta=0.1", "bath_dim=2"),
+        ("oracle", "r=0.8", "eta=0.1", "bath_dim=10"),
+        ("oracle", "r=0.1", "eta=0.5", "nT=1", "dim=8", "bath_dim=60"),
+        ("oracle", "r=0.1", "dim=200000"),
+    ],
+)
+def test_oracle_sizes_that_clip_or_exceed_the_cap_exit_3(argv, capsys):
+    # the first three printed a wrong QFI and exited 0; the last asked numpy
+    # for 596 GiB and died with a MemoryError traceback
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "the truncation rule sizes both registers at" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an infinite bath gave 0 * inf = nan at eta = 1, and exited 0
+        ("bound", "eq17", "r=1", "eta=1", "nT=inf"),
+        ("bound", "eq15", "mean_n=inf", "var_n=1", "eta=0.5", "nT=inf"),
+        # q = n_T/(n_T + 1) rounded to 1: a ZeroDivisionError traceback
+        ("oracle", "r=0", "nT=9007199254740992"),
+        # the diffusion map took inf * 0 on its diagonal
+        ("fig2", "--lambda=inf", "--with-oracle", "--r-points=2"),
+        # the grid's top point rounded to inf and was printed as a flux
+        ("fig3", "--n-max=1.7976931348622105e+308", "--n-points=2"),
+    ],
+)
+def test_sweep_findings_exit_cleanly(argv, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code in (2, 3) and out == "", (argv, code)
+    assert err.count("\n") == 1, err
+
+
+def test_fig3_rows_beyond_the_model_range_are_error_rows(capsys):
+    # the pump amplitude rounds to 1 and the cavity rate overflows: these rows
+    # raised numpy warnings and an OverflowError, and now carry their error
+    code, out, err = _run(capsys, "fig3", "--n-min=1e110", "--n-max=1e308", "--n-points=3")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        assert row[2:4] == ["", ""] and "rounds to 1 or gamma overflows" in row[4]
+
+
+def test_fig2_warning_follows_a_finished_table(capsys):
+    # the empty-oracle-column warning used to precede an error line
+    code, out, err = _run(capsys, "fig2", "--eta=0", "--with-oracle")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "warning" not in err
 
 
 def test_exit_code_invalid_physics(capsys):

@@ -1,16 +1,18 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
 import varqfi
 from varqfi.bounds import (
     cq_min_loss_diffusion,
+    cq_min_loss_thermal,
     exact_qfi_squeezed,
     im_opt_squeezed,
     phase_variance_bound_full,
@@ -18,8 +20,11 @@ from varqfi.bounds import (
 )
 from varqfi.channels import lossy_thermal_channel_pure, phase_diffusion, phase_shift
 from varqfi.fock_core import (
+    TAIL_MASS,
     DensityMatrix,
+    FockVector,
     InputMoments,
+    TruncationError,
     moments,
     squeezed_dim,
     squeezed_vacuum,
@@ -27,6 +32,7 @@ from varqfi.fock_core import (
 )
 from varqfi.numerics import OptimizationError
 from varqfi.qfi_oracle import (
+    _dropped_mass,
     minimize_raw_cq,
     oracle_dim,
     qfi_phase_covariant,
@@ -137,6 +143,65 @@ def test_oracle_below_variance_floor_and_exact_without_diffusion(r, eta, n_T, la
     assert undiffused <= 1.0 / phase_variance_bound_full(m, eta, n_T, 0.0) + 1e-9
     diffused = squeezed_probe_qfi(r, eta, n_T, lam)
     assert diffused <= 1.0 / phase_variance_bound_full(m, eta, n_T, lam) + 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=13
+    ),
+    eta=st.floats(0.05, 1.0),
+    n_T=st.floats(0.0, 2.0),
+    lam=st.floats(0.0, 0.5),
+)
+def test_random_probe_obeys_the_moment_bounds(parts, eta, n_T, lam):
+    # any pure probe, not only a squeezed vacuum: both registers padded so
+    # the beam splitter clips no populated sector
+    amps = np.array([complex(re, im) for re, im in parts])
+    assume(np.linalg.norm(amps) > 1e-3)
+    size = amps.size + thermal_dim(n_T) - 1
+    psi = FockVector(size, np.concatenate([amps, np.zeros(size - amps.size)]))
+    rho = phase_diffusion(lossy_thermal_channel_pure(psi, eta, n_T, size), lam)
+    qfi = qfi_phase_covariant(rho)
+    m = moments(psi)
+    # 1e-10 relative, and the smallest normal float absolute: a var_n below
+    # it has 1/var_n overflow, and the bounds round to 0
+    slack, tiny = 1.0 + 1e-10, sys.float_info.min
+    assert qfi <= cq_min_loss_thermal(m, eta, n_T) * slack + tiny  # eq15
+    if n_T == 0.0:
+        assert qfi <= cq_min_loss_diffusion(m, eta, lam) * slack + tiny  # eq21
+    assert qfi <= slack / phase_variance_bound_full(m, eta, n_T, lam) + tiny  # eq22
+
+
+def test_automatic_sizes_clip_no_populated_sector():
+    # the sizes oracle_dim picks drop at most the truncation rule's tail
+    for n_T in (0.0, 0.5, 1.0, 2.0):
+        for r in np.linspace(0.05, 1.0, 20):
+            size = oracle_dim(float(r), n_T)
+            dropped = _dropped_mass(squeezed_vacuum(float(r), size), n_T, size)
+            assert dropped <= TAIL_MASS, (r, n_T, dropped)
+
+
+@pytest.mark.parametrize(
+    "kwargs, dropped",
+    [
+        ({"r": 0.8, "eta": 0.1, "bath_dim": 2}, "2.523e-01"),
+        ({"r": 0.8, "eta": 0.1, "bath_dim": 10}, "5.175e-03"),
+        ({"r": 0.1, "eta": 0.5, "n_T": 1.0, "dim": 8, "bath_dim": 60}, "3.966e-03"),
+    ],
+)
+def test_oracle_refuses_sizes_that_clip(kwargs, dropped):
+    # these used to print 8.85, 0.339 and a value 0.3% below eq17, and exit 0
+    with pytest.raises(TruncationError, match="drop probability " + dropped) as info:
+        squeezed_probe_qfi(**kwargs)
+    assert info.value.suggested_dim == oracle_dim(kwargs["r"], kwargs.get("n_T", 0.0))
+
+
+def test_oracle_refuses_sizes_beyond_the_cap_before_building():
+    # at eta = 1 this used to build a 200000^2 density matrix
+    with pytest.raises(TruncationError, match="exceeds the cap") as info:
+        squeezed_probe_qfi(0.1, 1.0, dim=200_000)
+    assert info.value.suggested_dim == oracle_dim(0.1, 0.0)
 
 
 def test_oracle_monotone_in_temperature_and_diffusion():

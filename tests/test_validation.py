@@ -49,35 +49,35 @@ MODEL = OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
 # (entry point:parameter, kind of parameter, the call with it set to x)
 ENTRY_POINTS = [
     ("eq15:eta", "eta", lambda x: cq_min_loss_thermal(M, x, 0.5)),
-    ("eq15:n_T", "nonneg", lambda x: cq_min_loss_thermal(M, 0.8, x)),
-    ("eq17:r", "squeezing", lambda x: exact_qfi_squeezed(x, 0.8, 0.5)),
+    ("eq15:n_T", "finite", lambda x: cq_min_loss_thermal(M, 0.8, x)),
+    ("eq17:r", "finite", lambda x: exact_qfi_squeezed(x, 0.8, 0.5)),
     ("eq17:eta", "eta", lambda x: exact_qfi_squeezed(0.5, x, 0.5)),
-    ("eq17:n_T", "nonneg", lambda x: exact_qfi_squeezed(0.5, 0.8, x)),
+    ("eq17:n_T", "finite", lambda x: exact_qfi_squeezed(0.5, 0.8, x)),
     ("eq21:eta", "eta", lambda x: cq_min_loss_diffusion(M, x, 0.1)),
-    ("eq21:lam", "nonneg", lambda x: cq_min_loss_diffusion(M, 0.8, x)),
+    ("eq21:lam", "finite", lambda x: cq_min_loss_diffusion(M, 0.8, x)),
     ("eq22:eta", "eta", lambda x: phase_variance_bound_full(M, x, 0.5, 0.1)),
-    ("eq22:n_T", "nonneg", lambda x: phase_variance_bound_full(M, 0.8, x, 0.1)),
-    ("eq22:lam", "nonneg", lambda x: phase_variance_bound_full(M, 0.8, 0.5, x)),
-    ("eq25:r", "squeezing", lambda x: im_opt_squeezed(x, 0.8, 0.1)),
+    ("eq22:n_T", "finite", lambda x: phase_variance_bound_full(M, 0.8, x, 0.1)),
+    ("eq22:lam", "finite", lambda x: phase_variance_bound_full(M, 0.8, 0.5, x)),
+    ("eq25:r", "finite", lambda x: im_opt_squeezed(x, 0.8, 0.1)),
     ("eq25:eta", "eta", lambda x: im_opt_squeezed(0.5, x, 0.1)),
-    ("eq25:lam", "nonneg", lambda x: im_opt_squeezed(0.5, 0.8, x)),
+    ("eq25:lam", "finite", lambda x: im_opt_squeezed(0.5, 0.8, x)),
     ("raw_thermal:eta", "eta", lambda x: raw_cq_loss_thermal(M, x, 0.5, 0, 0, 0)),
-    ("raw_thermal:n_T", "nonneg", lambda x: raw_cq_loss_thermal(M, 0.8, x, 0, 0, 0)),
+    ("raw_thermal:n_T", "finite", lambda x: raw_cq_loss_thermal(M, 0.8, x, 0, 0, 0)),
     ("raw_diffusion:eta", "eta", lambda x: raw_cq_loss_diffusion(M, x, 0.1, 0, 0)),
-    ("raw_diffusion:lam", "nonneg", lambda x: raw_cq_loss_diffusion(M, 0.8, x, 0, 0)),
+    ("raw_diffusion:lam", "finite", lambda x: raw_cq_loss_diffusion(M, 0.8, x, 0, 0)),
     ("loss_pure:eta", "eta", lambda x: lossy_thermal_channel_pure(PSI, x, 0.0, 12)),
-    ("loss_pure:n_T", "nonneg", lambda x: lossy_thermal_channel_pure(PSI, 0.8, x, 12)),
-    ("phase_diffusion:lam", "nonneg", lambda x: phase_diffusion(RHO, x)),
-    ("diffusion_quad:lam", "nonneg", lambda x: phase_diffusion_by_quadrature(RHO, x)),
-    ("squeezed_dim:r", "squeezing", lambda x: squeezed_dim(x)),
-    ("squeezed_vacuum:r", "squeezing", lambda x: squeezed_vacuum(x, 12)),
-    ("thermal_dim:n_T", "nonneg", lambda x: thermal_dim(x)),
+    ("loss_pure:n_T", "finite", lambda x: lossy_thermal_channel_pure(PSI, 0.8, x, 12)),
+    ("phase_diffusion:lam", "finite", lambda x: phase_diffusion(RHO, x)),
+    ("diffusion_quad:lam", "finite", lambda x: phase_diffusion_by_quadrature(RHO, x)),
+    ("squeezed_dim:r", "finite", lambda x: squeezed_dim(x)),
+    ("squeezed_vacuum:r", "finite", lambda x: squeezed_vacuum(x, 12)),
+    ("thermal_dim:n_T", "finite", lambda x: thermal_dim(x)),
     ("InputMoments:mean_n", "nonneg", lambda x: InputMoments(x, 1.0)),
     ("InputMoments:var_n", "nonneg", lambda x: InputMoments(1.0, x)),
-    ("oracle:r", "squeezing", lambda x: squeezed_probe_qfi(x, 0.8)),
+    ("oracle:r", "finite", lambda x: squeezed_probe_qfi(x, 0.8)),
     ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
-    ("oracle:n_T", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
-    ("oracle:lam", "nonneg", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
+    ("oracle:n_T", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
+    ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
     ("PriorSpectrum:lambda_c", "nonneg", lambda x: PriorSpectrum(1.0, 2.0, x)),
     ("SpectralCqParams:eta", "eta", lambda x: SpectralCqParams(x, 0.5)),
     ("mse_bound_optimized:eta", "eta", lambda x: mse_bound_optimized(PRIOR, MODEL, x)),
@@ -85,10 +85,11 @@ ENTRY_POINTS = [
     ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
 ]
 
-# r = inf would make sinh and cosh inf, and every result inf or NaN
+# an infinite r, n_T or lam makes sinh and cosh inf, or meets 0 * inf,
+# and turns results into NaN
 BAD_VALUES = {
     "nonneg": (math.nan, -0.1),
-    "squeezing": (math.nan, -0.1, math.inf),
+    "finite": (math.nan, -0.1, math.inf),
     "eta": (math.nan, -0.1, 0.0, 1.5),
 }
 

@@ -309,11 +309,9 @@ def test_mse_bound_even_symmetry_reduction():
 def test_mse_bound_optimized_lossless_is_flat():
     prior = PriorSpectrum(1.0, 2.0, 1.0)
     model = OpoSpectrumModel(16.0, 100.0)
-    got = mse_bound_optimized(prior, model, 1.0)
-    assert got.flat
-    assert got.beta_star == 1.0
-    direct = mse_bound(prior, model, SpectralCqParams(1.0, 1.0))
-    assert got.bound == direct
+    beta_star, bound = mse_bound_optimized(prior, model, 1.0)
+    assert beta_star == 1.0
+    assert bound == mse_bound(prior, model, SpectralCqParams(1.0, 1.0))
 
 
 def test_mse_bound_optimized_dominates_fixed_betas():
@@ -397,11 +395,11 @@ def test_fig3_curve_small_grid():
     grid = [1e3, 1e4, 1e5]
     lossy = fig3_curve(0.95, grid)
     lossless = fig3_curve(1.0, grid)
-    assert [r.flux_N for r in lossy] == grid
+    assert len(lossy) == len(lossless) == len(grid)
 
     for a, b in zip(lossy, lossy[1:]):
         assert b.bound < a.bound  # more photons, tighter bound
     for lo, ll in zip(lossy, lossless):
         assert lo.bound >= ll.bound  # losses blur the error floor
-        assert not lo.flat
-        assert ll.flat and ll.beta_star == 1.0
+        assert lo.beta_star != 1.0
+        assert ll.beta_star == 1.0
