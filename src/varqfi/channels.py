@@ -92,7 +92,10 @@ def phase_diffusion(rho, lam):
     """Gaussian dephasing: rho_lk -> exp(-lam^2 (l-k)^2) rho_lk."""
     check_finite_nonneg(lam, "lam")
     k = np.arange(rho.dim)
-    damp = np.exp(-(lam**2) * np.subtract.outer(k, k) ** 2)
+    sq = np.subtract.outer(k, k) ** 2
+    # lam * lam, not lam**2, which raises past 1.3e154; an inf there times the
+    # diagonal's 0 would be NaN, so the diagonal exponent is left at 0
+    damp = np.exp(np.multiply(-(lam * lam), sq, where=sq != 0, out=np.zeros(sq.shape)))
     return DensityMatrix(rho.dim, rho.elems * damp)
 
 

@@ -71,12 +71,12 @@ class PriorSpectrum:
 
         Finite at omega = 0 for both priors; vectorized over omega.
         """
-        return self._deficit()(omega)
+        return self._deficit()(omega, np.square(omega, dtype=float))
 
     def _deficit(self):
-        """omega -> info_deficit(omega), coefficients hoisted as in _spectral_cost."""
+        """(w, w*w) -> info_deficit(w), hoisted; p = 2 uses w*w, the bits of |w| ** 2.0."""
         lam2, scale = map(np.array, (self.lambda_c**2, self.kappa ** (self.p - 1.0)))
-        return lambda omega: (lam2 + np.abs(omega) ** self.p) / scale
+        return lambda w, w2: (lam2 + (w2 if self.p == 2.0 else np.abs(w) ** self.p)) / scale
 
 
 def _pump_and_rate(R_plus, flux_N):
@@ -145,7 +145,7 @@ def sigma_tilde(omega, model):
     vectorized over omega.  (R- - 1)^2 is taken as ((R+ - 1)/R+)^2, which
     keeps its relative precision as R+ -> 1.
     """
-    return _spectral_cost(model, SpectralCqParams(1.0, 1.0))(omega)
+    return spectral_cq(omega, model, SpectralCqParams(1.0, 1.0))
 
 
 def spectral_cq(omega, model, params):
@@ -155,43 +155,49 @@ def spectral_cq(omega, model, params):
     beta = eta/(eta-1) kills the spectral coefficient and leaves the flat
     value 4 N eta/(1-eta); beta = 1 returns sigma_tilde unchanged.
     """
-    return _spectral_cost(model, params)(omega)
+    return _spectral_cost(model, params)(np.square(omega, dtype=float))
 
 
 def _spectral_cost(model, params):
-    """omega -> spectral_cq(omega), coefficients hoisted; eta = 1 gives sigma_tilde."""
+    """omega^2 -> spectral_cq(omega), coefficients hoisted; eta = 1 gives sigma_tilde."""
     g, x, shot = model.gamma_cavity, model.x, 4.0 * model.flux_N
     weight2 = (params.eta + params.beta * (1.0 - params.eta)) ** 2
     flat = shot * (1.0 - params.beta) ** 2 * params.eta * (1.0 - params.eta)
     excess = model.R_plus - 1.0
     c_anti, a_anti = excess**2 * (1.0 - x) ** 3, (1.0 - x) ** 2 * g**2
     c_sq, a_sq = (excess / model.R_plus) ** 2 * (1.0 + x) ** 3, (1.0 + x) ** 2 * g**2
-    # 0-d arrays: numpy applies them to an array faster than Python floats, same bits
+    # 0-d arrays (faster on an array than Python floats) and in-place + and *: same bits
     shot, height, c_anti, a_anti, c_sq, a_sq, weight2, flat = map(np.array, (
         shot, g**3 / 16.0, c_anti, a_anti, c_sq, a_sq, weight2, flat))
 
-    def cost(omega):
-        w2 = np.asarray(omega) ** 2
-        lor = c_anti / (a_anti + w2) + c_sq / (a_sq + w2)
-        return (shot + height * lor) * weight2 + flat
+    def cost(w2):
+        lor = c_anti / (a_anti + w2)
+        lor += c_sq / (a_sq + w2)
+        lor *= height
+        lor += shot
+        lor *= weight2
+        lor += flat
+        return lor
 
     return cost
 
 
-def _mse_integrand(prior, model, params):
-    """omega -> 1/(info_deficit(omega) + spectral_cq(omega)), coefficients hoisted."""
-    deficit, cost = prior._deficit(), _spectral_cost(model, params)
+def _mse_integrand(deficit, cost):
+    """omega -> 1/(deficit(omega, omega^2) + cost(omega^2)), omega an array."""
 
     def integrand(omega):
-        return np.reciprocal(deficit(omega) + cost(omega))
+        w2 = np.square(omega)
+        total = deficit(omega, w2)
+        total += cost(w2)
+        return np.reciprocal(total, out=total)
 
     return integrand
 
 
-def _positive_knots(prior, model, params):
+def _positive_knots(prior, model, cost):
     """Frequencies where the MSE integrand changes character."""
     # the cost's plateaus at omega = 0 and omega = inf, where sigma_tilde is 4N
-    plateaus = spectral_cq(np.array([0.0, math.inf]), model, params).tolist()
+    plateaus = cost(np.array([0.0, math.inf])).tolist()
     knots = [
         (1.0 - model.x) * model.gamma_cavity,
         (1.0 + model.x) * model.gamma_cavity,
@@ -214,9 +220,10 @@ def mse_bound(prior, model, params, rel_tol=1e-10):
     once per call.  Integration is piecewise between the integrand's
     characteristic frequencies, then over the tail via the semi-infinite map.
     """
-    integrand = _mse_integrand(prior, model, params)
+    cost = _spectral_cost(model, params)
+    integrand = _mse_integrand(prior._deficit(), cost)
     total = lo = 0.0
-    for knot in _positive_knots(prior, model, params):
+    for knot in _positive_knots(prior, model, cost):
         if knot <= lo * (1.0 + 1e-12):
             continue
         value, _ = integrate(integrand, lo, knot, rel_tol=rel_tol)

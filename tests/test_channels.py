@@ -182,6 +182,9 @@ def test_phase_diffusion_entrywise():
     assert np.max(np.abs(out.elems - damp * rho.elems)) < 1e-15
     assert np.max(np.abs(np.diag(out.elems) - np.diag(rho.elems))) == 0.0
     assert abs(moments(out).mean_n - moments(rho).mean_n) < 1e-12
+    # lam^2 beyond float range: full dephasing, the diagonal kept exactly
+    out = phase_diffusion(rho, 1e200)
+    assert np.array_equal(out.elems, np.diag(np.diag(rho.elems)))
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])

@@ -212,6 +212,7 @@ def test_value_beyond_float_range_exits_3(argv, capsys):
         # lam**2 overflowed and this exited 3; the bound rounds to 0
         (("bound", "eq21", "mean_n=1", "var_n=1", "lambda=1e200"), "0"),
         (("bound", "eq25", "r=1", "lambda=1e200"), "0"),
+        (("oracle", "r=0.5", "eta=0.8", "lambda=1e200"), "0"),
     ],
 )
 def test_value_with_an_overflowing_intermediate_is_printed(argv, value, capsys):

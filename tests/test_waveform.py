@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from varqfi import numerics, waveform
 from varqfi.numerics import integrate, integrate_semi_infinite, loglog_slope
 from varqfi.waveform import (
     OpoSpectrumModel,
@@ -18,7 +21,7 @@ from varqfi.waveform import (
     sigma_tilde,
     spectral_cq,
 )
-from varqfi.waveform import _mse_integrand
+from varqfi.waveform import _mse_integrand, _spectral_cost
 
 
 def test_prior_spectrum_validation():
@@ -238,11 +241,46 @@ def test_hoisted_integrand_is_bit_identical(kappa, p, lambda_c, r_plus, flux, et
     # eta and beta near 0 shrink the cost to 0 or a subnormal, where 1/cost is
     # +inf on every route
     with np.errstate(divide="ignore", over="ignore"):
-        got = _mse_integrand(prior, model, params)(omega)
+        got = _mse_integrand(prior._deficit(), _spectral_cost(model, params))(omega)
         want = 1.0 / (prior.info_deficit(omega) + spectral_cq(omega, model, params))
         written_out = _unhoisted_integrand(prior, model, params, omega)
     assert np.array_equal(got, want)
     assert np.array_equal(got, written_out)
+
+
+def _tail_map(f, a):
+    """The integrand integrate_semi_infinite hands to integrate, caught on its way in."""
+    caught = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "integrate", lambda g, *args, **kw: caught.append(g) or (0.0, 0.0))
+        integrate_semi_infinite(f, a)
+    return caught[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(1.0, 4.0, exclude_min=True),
+    beta=st.floats(-30.0, 1.0),
+    a=st.one_of(st.just(0.0), st.floats(1e-6, 1e9)),
+    # t = 1 puts 1 - t below the 1e-17 floor
+    t=st.lists(st.floats(0.0, 1.0), max_size=13).map(lambda t: np.array([0.0, 1.0] + t)),
+)
+def test_tail_map_is_bit_identical(p, beta, a, t):
+    model = OpoSpectrumModel(16.0 * 1e2 ** (1.0 / 3.0), 1e2)
+    cost = _spectral_cost(model, SpectralCqParams(0.95, beta))
+    for prior in (PriorSpectrum(1.0, 2.0, 1.0), PriorSpectrum(1.0, p)):
+        f = _mse_integrand(prior._deficit(), cost)
+        comp = np.maximum(1.0 - t, 1e-17)
+        written_out = np.asarray(f(a + t / comp)).reshape(t.shape) / (comp * comp)
+        given_t = t.copy()
+        assert np.array_equal(_tail_map(f, a)(given_t), written_out)
+        assert np.array_equal(given_t, t)
+
+
+def test_tail_map_leaves_the_integrand_result_alone():
+    # a read-only result raises if the map divides it in place
+    ones = _tail_map(lambda w: np.broadcast_to(1.0, w.shape), 2.0)(np.array([0.0, 0.5, 1.0]))
+    assert np.array_equal(ones, [1.0, 4.0, 1.0 / (1e-17 * 1e-17)])
 
 
 def test_spectral_cq_params_validation():
@@ -389,6 +427,42 @@ def test_scaling_construction_exponents():
     window = (1e20, 1e26)
     assert abs(loglog_slope(flux, lossless**-0.5, window) + 2.0 / 3.0) < 1e-6
     assert abs(loglog_slope(flux, lossy**-0.5, window) + 0.5) < 1e-6
+
+
+def _bench_workloads_constant(name):
+    """A literal assigned in bench/workloads.py, parsed and never imported."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    (value,) = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_fig3_grid_meets_the_bench_self_test_counts():
+    # the benchmark's traced run exits nonzero unless the fig3 grid makes
+    # exactly these mse_bound calls, top-level quadratures and panels
+    counts = dict.fromkeys(
+        ("numerics.integrate.calls", "numerics.panels", "waveform.mse_bound.calls"), 0
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        for module, attr, key in (
+            (waveform, "mse_bound", "waveform.mse_bound.calls"),
+            (waveform, "integrate", "numerics.integrate.calls"),
+            (waveform, "integrate_semi_infinite", "numerics.integrate.calls"),
+            (numerics, "_gk15_panel", "numerics.panels"),
+        ):
+
+            def counted(*args, _call=getattr(module, attr), _key=key, **kwargs):
+                counts[_key] += 1
+                return _call(*args, **kwargs)
+
+            patch.setattr(module, attr, counted)
+        grid = np.logspace(2.0, 8.0, 25)
+        for eta in (1.0, 0.95):
+            fig3_curve(eta, grid, rel_tol=_bench_workloads_constant("WAVEFORM_REL_TOL"))
+    assert counts == _bench_workloads_constant("SELF_TEST_COUNTS")
 
 
 def test_fig3_curve_small_grid():
