@@ -164,7 +164,9 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         Finite endpoints with a < b; anything else raises ValueError.
     rel_tol, abs_tol : float
         Subdivision stops once the summed panel error estimate drops below
-        max(abs_tol, rel_tol*|value|).  For a vector integral each panel's
+        max(abs_tol, rel_tol*|value|).  Both must be nonnegative and one of
+        them positive: anything else raises ValueError, where it would only
+        spend the whole panel budget.  For a vector integral each panel's
         error estimate is its largest entry of |Kronrod - Gauss| and |value|
         is the largest entry of |value|.
     max_panels : int
@@ -181,6 +183,8 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
     a, b = float(a), float(b)
     if not -math.inf < a < b < math.inf:  # NaN fails too
         raise ValueError("integrate requires finite endpoints a < b")
+    if not (rel_tol >= 0.0 and abs_tol >= 0.0 and max(rel_tol, abs_tol) > 0.0):
+        raise ValueError("integrate requires rel_tol, abs_tol >= 0, not both 0")
 
     val, err = _gk15_panel(f, a, b)
     if isinstance(val, float):

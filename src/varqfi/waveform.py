@@ -6,10 +6,19 @@ squeezed vacuum with its flux bookkeeping, the frequency-resolved
 variational cost, the resulting mean-square-error lower bound with its
 one-parameter maximization, and the mu/L/D construction whose exponents
 separate the lossless and lossy scaling regimes.
+
+The beta search calls mse_bound some 66 times with one prior and one OPO
+model, and most of its quadrature panels repeat abscissae an earlier call
+evaluated.  So the beta-independent integrand terms, info_deficit and
+sigma_tilde, are memoized: one evaluator per (prior, model), the latest
+one only (functools.lru_cache(maxsize=1)), keyed on the float64 bytes of
+each abscissa array, holding read-only arrays and at most _MEMO_CAP of
+them.  A memoized term has the bits of a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -135,6 +144,8 @@ class SpectralCqParams:
 
     def __post_init__(self):
         check_eta(self.eta)
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
 
 
 def sigma_tilde(omega, model):
@@ -145,7 +156,7 @@ def sigma_tilde(omega, model):
     vectorized over omega.  (R- - 1)^2 is taken as ((R+ - 1)/R+)^2, which
     keeps its relative precision as R+ -> 1.
     """
-    return spectral_cq(omega, model, SpectralCqParams(1.0, 1.0))
+    return _sigma(model)(np.square(omega, dtype=float))
 
 
 def spectral_cq(omega, model, params):
@@ -155,49 +166,94 @@ def spectral_cq(omega, model, params):
     beta = eta/(eta-1) kills the spectral coefficient and leaves the flat
     value 4 N eta/(1-eta); beta = 1 returns sigma_tilde unchanged.
     """
-    return _spectral_cost(model, params)(np.square(omega, dtype=float))
+    return _cost(sigma_tilde(omega, model), *_loss_split(model, params))
 
 
-def _spectral_cost(model, params):
-    """omega^2 -> spectral_cq(omega), coefficients hoisted; eta = 1 gives sigma_tilde."""
+def _sigma(model):
+    """omega^2 -> sigma_tilde(omega), coefficients hoisted."""
     g, x, shot = model.gamma_cavity, model.x, 4.0 * model.flux_N
-    weight2 = (params.eta + params.beta * (1.0 - params.eta)) ** 2
-    flat = shot * (1.0 - params.beta) ** 2 * params.eta * (1.0 - params.eta)
     excess = model.R_plus - 1.0
     c_anti, a_anti = excess**2 * (1.0 - x) ** 3, (1.0 - x) ** 2 * g**2
     c_sq, a_sq = (excess / model.R_plus) ** 2 * (1.0 + x) ** 3, (1.0 + x) ** 2 * g**2
     # 0-d arrays (faster on an array than Python floats) and in-place + and *: same bits
-    shot, height, c_anti, a_anti, c_sq, a_sq, weight2, flat = map(np.array, (
-        shot, g**3 / 16.0, c_anti, a_anti, c_sq, a_sq, weight2, flat))
+    shot, height, c_anti, a_anti, c_sq, a_sq = map(np.array, (
+        shot, g**3 / 16.0, c_anti, a_anti, c_sq, a_sq))
 
-    def cost(w2):
+    def sigma(w2):
         lor = c_anti / (a_anti + w2)
         lor += c_sq / (a_sq + w2)
         lor *= height
         lor += shot
-        lor *= weight2
-        lor += flat
         return lor
 
+    return sigma
+
+
+def _loss_split(model, params):
+    """The beta-dependent scalars of spectral_cq: (weight^2, flat), as 0-d arrays."""
+    weight2 = (params.eta + params.beta * (1.0 - params.eta)) ** 2
+    flat = 4.0 * model.flux_N * (1.0 - params.beta) ** 2 * params.eta * (1.0 - params.eta)
+    return np.array(weight2), np.array(flat)
+
+
+def _cost(sigma, weight2, flat):
+    """sigma_tilde -> spectral_cq: times weight^2, plus flat, in a new array."""
+    cost = sigma * weight2
+    cost += flat
     return cost
 
 
-def _mse_integrand(deficit, cost):
-    """omega -> 1/(deficit(omega, omega^2) + cost(omega^2)), omega an array."""
+# entries one (prior, model) evaluator keeps; a fig3 or power-law row makes at most ~1,500
+_MEMO_CAP = 4096
+
+
+class _Spectra:
+    """omega -> (info_deficit(omega), sigma_tilde(omega)) for one (prior, model).
+
+    The beta-independent terms of the mse_bound integrand, memoized per
+    abscissa array: the key is the array's float64 bytes and the cached
+    arrays are read-only.  At most _MEMO_CAP arrays are kept; later ones
+    are computed and not stored.
+    """
+
+    def __init__(self, prior, model):
+        self.deficit, self.sigma, self.memo = prior._deficit(), _sigma(model), {}
+
+    def __call__(self, omega):
+        key = omega.tobytes()
+        terms = self.memo.get(key)
+        if terms is None:
+            w2 = np.square(omega)
+            terms = self.deficit(omega, w2), self.sigma(w2)
+            for array in terms:
+                array.flags.writeable = False
+            if len(self.memo) < _MEMO_CAP:
+                self.memo[key] = terms
+        return terms
+
+
+@functools.lru_cache(maxsize=1)
+def _spectra(prior, model):
+    """The one _Spectra of the latest (prior, model): a beta search reuses it."""
+    return _Spectra(prior, model)
+
+
+def _mse_integrand(spectra, weight2, flat):
+    """omega -> 1/(info_deficit(omega) + spectral_cq(omega)), omega a float64 array."""
 
     def integrand(omega):
-        w2 = np.square(omega)
-        total = deficit(omega, w2)
-        total += cost(w2)
+        deficit, sigma = spectra(omega)
+        total = _cost(sigma, weight2, flat)
+        total += deficit
         return np.reciprocal(total, out=total)
 
     return integrand
 
 
-def _positive_knots(prior, model, cost):
+def _positive_knots(prior, model, spectra, split):
     """Frequencies where the MSE integrand changes character."""
     # the cost's plateaus at omega = 0 and omega = inf, where sigma_tilde is 4N
-    plateaus = cost(np.array([0.0, math.inf])).tolist()
+    plateaus = _cost(spectra(np.array([0.0, math.inf]))[1], *split).tolist()
     knots = [
         (1.0 - model.x) * model.gamma_cavity,
         (1.0 + model.x) * model.gamma_cavity,
@@ -216,14 +272,22 @@ def mse_bound(prior, model, params, rel_tol=1e-10):
     (1/pi) integral over omega in [0, inf) of 1 / (info_deficit(omega) +
     spectral_cq(omega; beta)), the even-symmetry half of the full-line
     spectral inversion.  The reciprocal form keeps the integrand finite at
-    omega = 0 for every admissible prior; its coefficients are computed
-    once per call.  Integration is piecewise between the integrand's
-    characteristic frequencies, then over the tail via the semi-infinite map.
+    omega = 0 for every admissible prior.  Integration is piecewise between
+    the integrand's characteristic frequencies, then over the tail via the
+    semi-infinite map.
+
+    Only weight^2 = (eta + beta(1-eta))^2 and the flat term depend on beta.
+    info_deficit and sigma_tilde at each abscissa array are memoized in one
+    evaluator per (prior, model), keyed on the abscissae's float64 bytes and
+    capped at _MEMO_CAP arrays; only the latest (prior, model) keeps its
+    evaluator, so the calls of one beta search share it.  The integrand
+    forms weight^2 * sigma + flat + deficit with the same operations whether
+    its terms are fresh or memoized, so the value is bit-identical either way.
     """
-    cost = _spectral_cost(model, params)
-    integrand = _mse_integrand(prior._deficit(), cost)
+    spectra, split = _spectra(prior, model), _loss_split(model, params)
+    integrand = _mse_integrand(spectra, *split)
     total = lo = 0.0
-    for knot in _positive_knots(prior, model, cost):
+    for knot in _positive_knots(prior, model, spectra, split):
         if knot <= lo * (1.0 + 1e-12):
             continue
         value, _ = integrate(integrand, lo, knot, rel_tol=rel_tol)

@@ -4,13 +4,18 @@ bench/workloads.py imports from the varqfi modules inside its methods and
 bench/tracer.py rebinds the (module, attribute) pairs of its _REBINDS table,
 so a deleted or renamed name makes a benchmark run exit nonzero without any
 output being wrong.  Both files are parsed and read here, never imported.
+bench/worker.py's reset, which empties the program's caches between passes,
+is run from the file's source text.
 """
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
+
+from varqfi import waveform
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -59,3 +64,15 @@ def test_workload_imports_exist(module, name):
 @pytest.mark.parametrize("module, attr", REBINDS, ids=["%s.%s" % p for p in REBINDS])
 def test_tracer_rebinds_exist(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_bench_reset_empties_the_spectral_memo():
+    # each pass starts cold, as a fresh CLI does, only if reset reaches the memo
+    path = BENCH / "worker.py"
+    worker = {"__name__": "bench_worker"}
+    exec(compile(path.read_text(), str(path), "exec"), worker)
+    prior, model = waveform.PriorSpectrum(1.0, 2.0, 1.0), waveform.OpoSpectrumModel(16.0, 2.0)
+    waveform.mse_bound(prior, model, waveform.SpectralCqParams(0.95, -3.0), rel_tol=1e-8)
+    assert waveform._spectra.cache_info().currsize == 1
+    worker["reset"](types.SimpleNamespace(warm_up=lambda: None))
+    assert waveform._spectra.cache_info().currsize == 0

@@ -1,4 +1,4 @@
-"""Every public entry point rejects a bad eta, n_T, lam or r the same way.
+"""Every public entry point rejects a bad eta, n_T, lam, r or beta the same way.
 
 Both routes, the closed forms and the Fock oracle, must refuse the same
 inputs, NaN included, with a plain ValueError raised before any work is
@@ -80,6 +80,7 @@ ENTRY_POINTS = [
     ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
     ("PriorSpectrum:lambda_c", "nonneg", lambda x: PriorSpectrum(1.0, 2.0, x)),
     ("SpectralCqParams:eta", "eta", lambda x: SpectralCqParams(x, 0.5)),
+    ("SpectralCqParams:beta", "real", lambda x: SpectralCqParams(0.9, x)),
     ("mse_bound_optimized:eta", "eta", lambda x: mse_bound_optimized(PRIOR, MODEL, x)),
     ("scaling_D:eta", "eta", lambda x: scaling_construction_D(1e4, 1e3, x, 1.0, 2.0)),
     ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
@@ -91,6 +92,8 @@ BAD_VALUES = {
     "nonneg": (math.nan, -0.1),
     "finite": (math.nan, -0.1, math.inf),
     "eta": (math.nan, -0.1, 0.0, 1.5),
+    # a non-finite beta makes the integrand NaN, or the search's endpoints infinite
+    "real": (math.nan, math.inf, -math.inf),
 }
 
 CASES = [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from varqfi import numerics, waveform
 from varqfi.numerics import integrate, integrate_semi_infinite, loglog_slope
 from varqfi.waveform import (
@@ -21,7 +22,7 @@ from varqfi.waveform import (
     sigma_tilde,
     spectral_cq,
 )
-from varqfi.waveform import _mse_integrand, _spectral_cost
+from varqfi.waveform import _loss_split, _mse_integrand, _Spectra
 
 
 def test_prior_spectrum_validation():
@@ -176,6 +177,22 @@ def test_sigma_tilde_matches_mpmath(u, width):
     assert abs(got - want) <= 1e-14 * want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    flux=st.floats(-2.0, 8.0).map(lambda x: 10.0**x),
+    anti_squeezing=st.sampled_from([lambda n: 1.5, lambda n: 16.0 * n ** (1.0 / 3.0),
+                                    lambda n: 100.0]),
+    u=st.floats(0.0, 100.0),
+)
+def test_sigma_tilde_is_four_times_the_photon_flux_noise(flux, anti_squeezing, u):
+    # Collett-Gardiner's S_nn shares no formula with the model's gamma or sigma_tilde
+    r_plus = anti_squeezing(flux)
+    model = OpoSpectrumModel(r_plus, flux)
+    omega = u * model.gamma_cavity
+    want = 4.0 * reference.opo_photon_flux_noise(r_plus, flux, omega)
+    assert abs(float(sigma_tilde(omega, model)) - want) <= 1e-13 * want
+
+
 def test_sigma_tilde_limits_and_symmetry():
     m = OpoSpectrumModel(7.0, 3.0)
     assert float(sigma_tilde(0.0, m)) > 4.0 * m.flux_N
@@ -241,11 +258,94 @@ def test_hoisted_integrand_is_bit_identical(kappa, p, lambda_c, r_plus, flux, et
     # eta and beta near 0 shrink the cost to 0 or a subnormal, where 1/cost is
     # +inf on every route
     with np.errstate(divide="ignore", over="ignore"):
-        got = _mse_integrand(prior._deficit(), _spectral_cost(model, params))(omega)
+        integrand = _mse_integrand(_Spectra(prior, model), *_loss_split(model, params))
+        got = integrand(omega)
         want = 1.0 / (prior.info_deficit(omega) + spectral_cq(omega, model, params))
         written_out = _unhoisted_integrand(prior, model, params, omega)
+        memoized = integrand(omega)
     assert np.array_equal(got, want)
     assert np.array_equal(got, written_out)
+    assert np.array_equal(memoized, got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kappa=st.floats(-1.0, 1.0).map(lambda x: 10.0**x),
+    p=st.floats(2.0, 4.0),
+    lambda_c=st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+    r_plus=st.floats(1.5, 1e3),
+    flux=st.floats(0.0, 7.0).map(lambda x: 10.0**x),
+    eta=st.floats(0.3, 1.0),
+    betas=st.lists(st.floats(-15.0, 1.0), min_size=2, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_memo_gives_the_same_bits_cold_and_warm(
+    kappa, p, lambda_c, r_plus, flux, eta, betas, data
+):
+    prior = PriorSpectrum(kappa, 2.0 if lambda_c > 0.0 else p, lambda_c)
+    model = OpoSpectrumModel(r_plus, flux)
+
+    def bound(beta):
+        return mse_bound(prior, model, SpectralCqParams(eta, beta), rel_tol=1e-8).hex()
+
+    cold = {}
+    for beta in betas:
+        waveform._spectra.cache_clear()
+        cold[beta] = bound(beta)
+    waveform._spectra.cache_clear()
+    warm = {beta: bound(beta) for beta in data.draw(st.permutations(betas))}
+    assert len(waveform._spectra(prior, model).memo) > 0
+    assert warm == cold
+
+
+@pytest.mark.parametrize("cap", [1, 7, 10_000])
+def test_memo_never_holds_more_than_its_cap(cap):
+    prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
+    params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
+    waveform._spectra.cache_clear()
+    want = [mse_bound(prior, model, q) for q in params]
+    uncapped = len(waveform._spectra(prior, model).memo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waveform, "_MEMO_CAP", cap)
+        waveform._spectra.cache_clear()
+        got = []
+        for q in params:
+            got.append(mse_bound(prior, model, q))
+            assert len(waveform._spectra(prior, model).memo) <= cap
+    assert len(waveform._spectra(prior, model).memo) == min(cap, uncapped)
+    assert got == want
+    waveform._spectra.cache_clear()
+
+
+def test_memo_of_a_beta_search_stays_below_its_cap():
+    # the fig3 grid's largest flux, lossy: 66 mse_bound calls share one memo
+    model = OpoSpectrumModel(16.0 * 1e8 ** (1.0 / 3.0), 1e8)
+    mse_bound_optimized(PriorSpectrum(1.0, 2.0, 1.0), model, 0.95, rel_tol=1e-8)
+    assert 0 < len(waveform._spectra(PriorSpectrum(1.0, 2.0, 1.0), model).memo) < waveform._MEMO_CAP
+
+
+def test_memoized_terms_are_read_only():
+    spectra = _Spectra(PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0))
+    omega = np.linspace(0.0, 50.0, 15)
+    terms = spectra(omega)
+    assert spectra(omega.copy()) is terms
+    for array in terms:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+@pytest.mark.parametrize("node", range(15))
+def test_memo_tells_apart_abscissae_one_ulp_apart(node):
+    prior, model = PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0)
+    spectra = _Spectra(prior, model)
+    omega = np.linspace(0.0, 50.0, 15)
+    spectra(omega)
+    other = omega.copy()
+    other[node] = np.nextafter(other[node], 100.0)
+    for got, want in zip(spectra(other), _Spectra(prior, model)(other)):
+        assert np.array_equal(got, want)
+    assert len(spectra.memo) == 2
 
 
 def _tail_map(f, a):
@@ -267,9 +367,10 @@ def _tail_map(f, a):
 )
 def test_tail_map_is_bit_identical(p, beta, a, t):
     model = OpoSpectrumModel(16.0 * 1e2 ** (1.0 / 3.0), 1e2)
-    cost = _spectral_cost(model, SpectralCqParams(0.95, beta))
+    split = _loss_split(model, SpectralCqParams(0.95, beta))
     for prior in (PriorSpectrum(1.0, 2.0, 1.0), PriorSpectrum(1.0, p)):
-        f = _mse_integrand(prior._deficit(), cost)
+        # the tail map's call finds the abscissae written_out evaluated in the memo
+        f = _mse_integrand(_Spectra(prior, model), *split)
         comp = np.maximum(1.0 - t, 1e-17)
         written_out = np.asarray(f(a + t / comp)).reshape(t.shape) / (comp * comp)
         given_t = t.copy()
