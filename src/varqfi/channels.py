@@ -99,7 +99,10 @@ def phase_diffusion(rho, lam):
     return DensityMatrix(rho.dim, rho.elems * damp)
 
 
-def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
+ABS_TOL = 1e-10  # error bound on each kick average, hence on each output entry
+
+
+def phase_diffusion_by_quadrature(rho, lam):
     """Phase diffusion evaluated as a Gaussian average over phase kicks.
 
     Averages U(phi)^dag rho U(phi) over the kick density
@@ -110,14 +113,14 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
     symmetric, so the sine part is exactly zero.  The dim averages
     c_0 ... c_{dim-1} are one vector integral on the shared adaptive
     quadrature numerics.integrate, run until the summed error estimate
-    bounds each c_d by abs_tol; as |rho_lk| <= 1, that bounds every output
-    entry by abs_tol too.  rho is read from its strict upper triangle, that
+    bounds each c_d by ABS_TOL; as |rho_lk| <= 1, that bounds every output
+    entry by ABS_TOL too.  rho is read from its strict upper triangle, that
     triangle's conjugate and the real part of its diagonal, and the averages
     are real, so the output is exactly Hermitian.  The kick distribution has
     standard deviation lam*sqrt(2), so the window spans 8 of those sigmas,
     leaving truncated Gaussian mass below 1e-14 (a [-8 lam, 8 lam] window
     would lose 1.5e-8 of the trace).  Raises AccuracyError when the panel
-    budget cannot reach abs_tol.  Serves as the independent oracle for the
+    budget cannot reach ABS_TOL.  Serves as the independent oracle for the
     entrywise phase_diffusion map.
     """
     check_finite_nonneg(lam, "lam")
@@ -133,7 +136,7 @@ def phase_diffusion_by_quadrature(rho, lam, abs_tol=1e-10):
 
     half_width = 8.0 * math.sqrt(2.0) * lam
     kicks, _ = integrate(
-        integrand, -half_width, half_width, rel_tol=0.0, abs_tol=abs_tol
+        integrand, -half_width, half_width, rel_tol=0.0, abs_tol=ABS_TOL
     )
     upper = np.triu(rho.elems, 1)
     hermitian = upper + upper.conj().T + np.diag(rho.elems.diagonal().real)

@@ -69,8 +69,8 @@ def _log_grid(lo, hi, points):
 
 
 def _lin_grid(lo, hi, points):
-    if not (-math.inf < lo < hi < math.inf and points >= 2):  # NaN fails too
-        raise UsageError("grid needs finite min < max and at least 2 points")
+    if not (0.0 <= lo < hi < math.inf and points >= 2):  # NaN fails too
+        raise UsageError("grid needs 0 <= min < max < inf and at least 2 points")
     return np.linspace(lo, hi, int(points)).tolist()
 
 
@@ -153,8 +153,6 @@ def _fig1_setup(args):
 
 def _fig2_setup(args):
     r_grid = _lin_grid(args.r_min, args.r_max, args.r_points)
-    if args.r_min < 0.0:
-        raise UsageError("squeezing grid must be nonnegative")
     dim = oracle_dim(ORACLE_R_MAX, 0.0)
 
     def row(r):

@@ -7,7 +7,8 @@ product dimension is capped at 4096, so no sector block exceeds 64 x 64.
 The beam splitter acts per photon-number sector; each sector block is
 built on first use from an eigenbasis cached per sector shape and shared
 by every transmission, and beam_splitter_apply builds and applies only the
-sectors its input populates.
+sectors its input populates.  Only the latest (theta, dim_a, dim_b) table
+of blocks is kept: callers use each table in one contiguous run.
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ class _Sectors(dict):
         return idx, block
 
 
-# one table per (theta, dim_a, dim_b), shared by every caller
-_sectors = functools.lru_cache(maxsize=32)(_Sectors)
+# the latest table only: the benchmark's oracle items use each of their 52 tables
+# in one run (972 hits, 52 misses at 1 slot or 32); a fig2 oracle column uses one
+_sectors = functools.lru_cache(maxsize=1)(_Sectors)
 
 
 def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "AccuracyError",
     "OptimizationError",
-    "ScalarMax",
     "check_eta",
     "check_nonneg",
     "check_finite_nonneg",
@@ -245,18 +243,13 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8):
     return integrate(transformed, 0.0, 1.0, rel_tol=rel_tol, max_panels=20_000)[0]
 
 
-class ScalarMax(NamedTuple):
-    argmax: float
-    value: float
-
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN_POINTS = 33
 _ARGMAX_TOL = 1e-6
 
 
 def maximize_scalar(f, lo, hi):
-    """Locate a scalar maximum of f on [lo, hi].
+    """Locate a scalar maximum of f on [lo, hi]; returns (argmax, value).
 
     A 33-point grid pre-scan picks the bracket (so mild multimodality is
     survivable; a non-finite sample raises OptimizationError), then
@@ -293,7 +286,7 @@ def maximize_scalar(f, lo, hi):
     for xc, fc in ((x1, f1), (x2, f2)):
         if fc > best_f:
             best_x, best_f = float(xc), float(fc)
-    return ScalarMax(best_x, best_f)
+    return best_x, best_f
 
 
 def loglog_slope(xs, ys, window=None):

@@ -31,14 +31,17 @@ __all__ = [
 ]
 
 
-def qfi_phase_covariant(rho, support_cutoff=1e-11):
+SUPPORT_CUTOFF = 1e-11  # eigenpair weight, relative to the top one, taken as support
+
+
+def qfi_phase_covariant(rho):
     """Exact QFI for a phase shift generated by the number operator.
 
     The output of a phase-covariant channel obeys
     d rho / d phi = -i [n, rho], entrywise -i (l - k) rho_lk, so no
     finite-difference derivative is needed.  With rho = sum_i p_i |e_i><e_i|
     the value is 2 sum |<e_i| drho |e_j>|^2 / (p_i + p_j) over eigenpairs
-    whose combined weight exceeds support_cutoff times the top eigenvalue.
+    whose combined weight exceeds SUPPORT_CUTOFF times the top eigenvalue.
     rho is a DensityMatrix, whose construction already rejects a spectrum
     below -1e-8.
     """
@@ -47,7 +50,7 @@ def qfi_phase_covariant(rho, support_cutoff=1e-11):
     drho = -1j * np.subtract.outer(levels, levels) * rho.elems
     m = vecs.conj().T @ drho @ vecs
     pair_sums = np.add.outer(w, w)
-    mask = pair_sums > support_cutoff * float(w.max())
+    mask = pair_sums > SUPPORT_CUTOFF * float(w.max())
     return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / pair_sums[mask]))
 
 

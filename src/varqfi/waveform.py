@@ -27,7 +27,7 @@ import numpy as np
 
 from .numerics import (
     check_eta,
-    check_nonneg,
+    check_finite_nonneg,
     integrate,
     integrate_semi_infinite,
     maximize_scalar,
@@ -55,7 +55,7 @@ class PriorSpectrum:
     lambda_c = 0 gives the power law kappa^(p-1)/|omega|^p; a positive
     lambda_c gives the Lorentzian kappa/(lambda_c^2 + omega^2), the p = 2
     power law regularized at low frequency, so lambda_c > 0 demands p = 2.
-    kappa carries rad^2 Hz^(p-1), lambda_c rad/s.
+    kappa carries rad^2 Hz^(p-1), lambda_c rad/s; all three must be finite.
     """
 
     kappa: float
@@ -63,11 +63,11 @@ class PriorSpectrum:
     lambda_c: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
-        if not self.p > 1.0:
-            raise ValueError("p must exceed 1")
-        check_nonneg(self.lambda_c, "lambda_c")
+        if not 0.0 < self.kappa < math.inf:  # NaN fails too
+            raise ValueError("kappa must be positive and finite")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("p must exceed 1 and be finite")
+        check_finite_nonneg(self.lambda_c, "lambda_c")
         if self.lambda_c > 0.0 and self.p != 2.0:
             raise ValueError("a Lorentzian prior (lambda_c > 0) requires p = 2")
 
@@ -116,21 +116,19 @@ def _pump_and_rate(R_plus, flux_N):
 class OpoSpectrumModel:
     """OPO squeezed vacuum: anti-squeezing level R_plus and photon flux.
 
-    R_minus = 1/R_plus, the normalized pump amplitude
-    x = (sqrt(R+) - 1)/(sqrt(R+) + 1) and the cavity decay rate
-    gamma_cavity that yields the flux (_pump_and_rate) are derived at
-    construction, finite and positive wherever _pump_and_rate accepts R_plus.
+    The normalized pump amplitude x = (sqrt(R+) - 1)/(sqrt(R+) + 1) and the
+    cavity decay rate gamma_cavity that yields the flux (_pump_and_rate) are
+    derived at construction, finite and positive wherever _pump_and_rate
+    accepts R_plus.  The squeezing level R- is 1/R+ and is not stored.
     """
 
     R_plus: float
     flux_N: float
-    R_minus: float = field(init=False)
     x: float = field(init=False)
     gamma_cavity: float = field(init=False)
 
     def __post_init__(self):
         x, gamma = _pump_and_rate(self.R_plus, self.flux_N)
-        object.__setattr__(self, "R_minus", 1.0 / self.R_plus)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "gamma_cavity", gamma)
 
@@ -288,8 +286,6 @@ def mse_bound(prior, model, params, rel_tol=1e-10):
     integrand = _mse_integrand(spectra, *split)
     total = lo = 0.0
     for knot in _positive_knots(prior, model, spectra, split):
-        if knot <= lo * (1.0 + 1e-12):
-            continue
         value, _ = integrate(integrand, lo, knot, rel_tol=rel_tol)
         total += value
         lo = knot
@@ -336,15 +332,12 @@ def scaling_construction_D(flux_N, mu, eta, kappa, p):
     of the scheme scales as D^((1-p)/p), so mu = N^(2p/(p+1)) recovers the
     lossless exponent and mu = N^(2-1/p) the lossy one.
     """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
-    if not flux_N > 0.0:
-        raise ValueError("flux_N must be positive")
+    if not 0.0 < mu < math.inf:  # NaN fails too
+        raise ValueError("mu must be positive and finite")
+    if not 0.0 < flux_N < math.inf:
+        raise ValueError("flux_N must be positive and finite")
     check_eta(eta)
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    PriorSpectrum(kappa, p)  # the prior's checks on kappa and p
     d = (
         4.0
         * kappa ** (p - 1.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from varqfi import channels
 from varqfi.channels import (
     lossy_thermal_channel_pure,
     phase_diffusion,
@@ -211,17 +212,20 @@ def test_quadrature_diffusion_on_random_states(dim, lam, seed, tol_exponent):
     # the lower triangle is the conjugate of the upper one
     assert np.array_equal(out, out.conj().T)
     assert abs(np.trace(out) - np.trace(rho.elems)) <= 1e-12
-    # abs_tol bounds each kick average and |rho_lk| <= 1, so it bounds every entry
+    # ABS_TOL bounds each kick average and |rho_lk| <= 1, so it bounds every entry
     abs_tol = 10.0**tol_exponent
-    out = phase_diffusion_by_quadrature(rho, lam, abs_tol=abs_tol).elems
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channels, "ABS_TOL", abs_tol)
+        out = phase_diffusion_by_quadrature(rho, lam).elems
     assert np.max(np.abs(out - entrywise)) <= abs_tol
 
 
-def test_quadrature_diffusion_budget_raises():
+def test_quadrature_diffusion_budget_raises(monkeypatch):
     # a tolerance below roundoff exhausts the shared engine's panel budget
     rho = _random_density(8, 6)
+    monkeypatch.setattr(channels, "ABS_TOL", 1e-30)
     with pytest.raises(AccuracyError):
-        phase_diffusion_by_quadrature(rho, 0.2, abs_tol=1e-30)
+        phase_diffusion_by_quadrature(rho, 0.2)
 
 
 def test_quadrature_diffusion_lam_zero():

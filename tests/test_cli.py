@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varqfi import fock_core
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
@@ -413,6 +414,16 @@ def test_fig2_oracle_column_and_warning(tmp_path, capsys):
     for row in rows[:safe]:
         cq, im, fq = float(row[1]), float(row[2]), float(row[3])
         assert im <= fq * (1.0 + 1e-9) and fq <= cq * (1.0 + 1e-9)
+
+
+def test_fig2_oracle_column_builds_one_sector_table(tmp_path, capsys):
+    # every oracle row shares eta and the register sizes, so the mixer's
+    # one-table cache (fock_core._sectors) serves the whole column
+    fock_core._sectors.cache_clear()
+    code, _, _ = _run(capsys, "fig2", "--with-oracle", "--out", str(tmp_path / "f.csv"))
+    assert code == 0
+    info = fock_core._sectors.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_fig2_oracle_in_range_emits_no_warning(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 import varqfi
+from varqfi import qfi_oracle
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
@@ -75,12 +76,14 @@ def test_qfi_invariant_under_phase_shift():
     assert abs(a - b) < 1e-9 * a
 
 
-def test_support_cutoff_stability():
+def test_support_cutoff_stability(monkeypatch):
     psi = squeezed_vacuum(0.5, 25)
     rho = lossy_thermal_channel_pure(psi, 0.8, 0.5, thermal_dim(0.5) + 20)
-    ref = qfi_phase_covariant(rho, support_cutoff=1e-11)
+    assert qfi_oracle.SUPPORT_CUTOFF == 1e-11
+    ref = qfi_phase_covariant(rho)
     for eps in (1e-12, 1e-10):
-        other = qfi_phase_covariant(rho, support_cutoff=eps)
+        monkeypatch.setattr(qfi_oracle, "SUPPORT_CUTOFF", eps)
+        other = qfi_phase_covariant(rho)
         assert abs(other - ref) < 1e-6 * ref
 
 

@@ -1,4 +1,4 @@
-"""Every public entry point rejects a bad eta, n_T, lam, r or beta the same way.
+"""Every public entry point rejects a bad parameter the same way.
 
 Both routes, the closed forms and the Fock oracle, must refuse the same
 inputs, NaN included, with a plain ValueError raised before any work is
@@ -78,11 +78,17 @@ ENTRY_POINTS = [
     ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
     ("oracle:n_T", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
     ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
-    ("PriorSpectrum:lambda_c", "nonneg", lambda x: PriorSpectrum(1.0, 2.0, x)),
+    ("PriorSpectrum:kappa", "finite", lambda x: PriorSpectrum(x, 2.0, 1.0)),
+    ("PriorSpectrum:p", "finite", lambda x: PriorSpectrum(1.0, x)),
+    ("PriorSpectrum:lambda_c", "finite", lambda x: PriorSpectrum(1.0, 2.0, x)),
     ("SpectralCqParams:eta", "eta", lambda x: SpectralCqParams(x, 0.5)),
     ("SpectralCqParams:beta", "real", lambda x: SpectralCqParams(0.9, x)),
     ("mse_bound_optimized:eta", "eta", lambda x: mse_bound_optimized(PRIOR, MODEL, x)),
+    ("scaling_D:flux_N", "finite", lambda x: scaling_construction_D(x, 1e3, 0.9, 1.0, 2.0)),
+    ("scaling_D:mu", "finite", lambda x: scaling_construction_D(1e4, x, 0.9, 1.0, 2.0)),
     ("scaling_D:eta", "eta", lambda x: scaling_construction_D(1e4, 1e3, x, 1.0, 2.0)),
+    ("scaling_D:kappa", "finite", lambda x: scaling_construction_D(1e4, 1e3, 0.9, x, 2.0)),
+    ("scaling_D:p", "finite", lambda x: scaling_construction_D(1e4, 1e3, 0.9, 1.0, x)),
     ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
 ]
 

@@ -122,18 +122,18 @@ def test_solve_gamma_rejects_bad_parameters():
 
 def test_opo_model_derived_fields():
     m = OpoSpectrumModel(16.0, 2.0)
-    assert abs(m.R_plus * m.R_minus - 1.0) < 1e-12
     assert abs(m.x - 0.6) < 1e-15
     assert 0.0 < m.x < 1.0
     assert abs(m.gamma_cavity - 32.0 / 4.5) < 1e-12
-    # flux round trip
-    bracket = (m.R_plus - 1.0) * (1.0 - m.x) + (m.R_minus - 1.0) * (1.0 + m.x)
+    # flux round trip, with R- = 1/R+
+    bracket = (m.R_plus - 1.0) * (1.0 - m.x) + (1.0 / m.R_plus - 1.0) * (1.0 + m.x)
     assert abs(m.gamma_cavity * bracket / 16.0 - m.flux_N) < 1e-10 * m.flux_N
 
     rng = np.random.default_rng(8)
     for _ in range(10):
         m = OpoSpectrumModel(1.0 + rng.uniform(0.01, 100.0), rng.uniform(0.1, 1e8))
-        assert abs(m.R_plus * m.R_minus - 1.0) < 1e-12
+        bracket = (m.R_plus - 1.0) * (1.0 - m.x) + (1.0 / m.R_plus - 1.0) * (1.0 + m.x)
+        assert abs(m.gamma_cavity * bracket / 16.0 - m.flux_N) < 1e-10 * m.flux_N
         assert 0.0 < m.x < 1.0
 
     # one ulp above R+ = 1 the cavity rate is huge but finite and positive
