@@ -22,6 +22,7 @@ from .fock_core import (
     TAIL_MASS,
     DensityMatrix,
     TruncationError,
+    _check_dim,
     beam_splitter_apply,
     thermal_dim,
 )
@@ -43,19 +44,6 @@ def phase_shift(rho, phi):
     return DensityMatrix(rho.dim, rho.elems * factors)
 
 
-def _check_loss(eta, n_T, bath_dim):
-    """Validate loss-channel inputs; a bath too short for n_T is a TruncationError."""
-    check_eta(eta)
-    floor = thermal_dim(n_T)  # rejects a negative or NaN n_T
-    if bath_dim < floor:
-        q = n_T / (n_T + 1.0)
-        raise TruncationError(
-            f"bath_dim={bath_dim} leaves thermal tail mass {q**bath_dim:.3e} "
-            f"above {TAIL_MASS:g}",
-            suggested_dim=floor,
-        )
-
-
 def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
     """Mix a pure probe with a thermal bath on a transmission-eta beam splitter.
 
@@ -67,13 +55,22 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
     term to the output.  Cost scales with the joint vector length instead
     of its square.  bath_dim must at least satisfy the thermal truncation
     rule; callers that push many probe photons into the bath should size it
-    with the extra receive capacity on top of that floor.
+    with the extra receive capacity on top of that floor; below it is a
+    TruncationError, and below 2 levels a ValueError.
     """
-    _check_loss(eta, n_T, bath_dim)
+    check_eta(eta)
+    _check_dim(bath_dim)
+    floor = thermal_dim(n_T)  # rejects a negative or NaN n_T
+    q = n_T / (n_T + 1.0)
+    if bath_dim < floor:
+        raise TruncationError(
+            f"bath_dim={bath_dim} leaves thermal tail mass {q**bath_dim:.3e} "
+            f"above {TAIL_MASS:g}",
+            suggested_dim=floor,
+        )
     if eta == 1.0:
         return psi.density()
     theta = math.acos(math.sqrt(eta))
-    q = n_T / (n_T + 1.0)
     weights = q ** np.arange(bath_dim, dtype=float)
     weights = weights / weights.sum()
     dim = psi.dim

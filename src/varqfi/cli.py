@@ -294,7 +294,7 @@ _BOUND_TABLE = {
     ),
 }
 
-# default of an oracle size key: size it automatically (a given size is >= 0)
+# default of an oracle size key: size it automatically (a given size is >= 2)
 _AUTO = -1
 
 

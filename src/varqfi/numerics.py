@@ -79,6 +79,8 @@ def check_finite_nonneg(value, name):
         raise ValueError(f"{name} must be nonnegative and finite")
 
 
+MAX_PANELS = 10_000  # the panel budget of every quadrature
+
 # 15-point Kronrod rule with its embedded 7-point Gauss rule on [-1, 1].
 # The Gauss nodes are the odd-indexed Kronrod nodes.
 _XK_HALF = (
@@ -149,7 +151,7 @@ def _fsum_rows(values):
     return np.array([math.fsum(col.tolist()) for col in np.array(list(values)).T])
 
 
-def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
+def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0):
     """Globally adaptive Gauss-Kronrod quadrature of f over [a, b].
 
     Parameters
@@ -164,12 +166,10 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
         Subdivision stops once the summed panel error estimate drops below
         max(abs_tol, rel_tol*|value|).  Both must be nonnegative and one of
         them positive: anything else raises ValueError, where it would only
-        spend the whole panel budget.  For a vector integral each panel's
-        error estimate is its largest entry of |Kronrod - Gauss| and |value|
-        is the largest entry of |value|.
-    max_panels : int
-        Subdivision cap; exceeding it raises AccuracyError carrying the
-        best estimate so far.
+        spend the whole MAX_PANELS budget; reaching that budget raises
+        AccuracyError carrying the best estimate so far.  For a vector
+        integral each panel's error estimate is its largest entry of
+        |Kronrod - Gauss| and |value| is the largest entry of |value|.
 
     Returns
     -------
@@ -194,9 +194,9 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=10_000):
     count = 1
     total_val, total_err = val, err
     while total_err > max(abs_tol, rel_tol * size(total_val)):
-        if count >= max_panels:
+        if count >= MAX_PANELS:
             raise AccuracyError(
-                f"quadrature did not converge within {max_panels} panels "
+                f"quadrature did not converge within {MAX_PANELS} panels "
                 f"(error estimate {total_err:.3e})",
                 best=total_val,
                 err_estimate=total_err,
@@ -227,7 +227,7 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8):
     The integrand must decay at least as w**(-p) with p > 1 for the
     transformed integral to be proper.  f must return one value per
     abscissa; a vector integrand is rejected with ValueError.  Returns the
-    value of integrate on t in [0, 1] with abs_tol 0 and a 20,000-panel
+    value of integrate on t in [0, 1] with abs_tol 0, within its MAX_PANELS
     budget; accuracy failures raise AccuracyError from that rule.
     """
     # 0-d arrays, and in place only on arrays made here (not f's result): faster, same bits
@@ -240,7 +240,7 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8):
         comp *= comp
         return np.divide(np.asarray(f(w), dtype=float).reshape(t.shape), comp, out=comp)
 
-    return integrate(transformed, 0.0, 1.0, rel_tol=rel_tol, max_panels=20_000)[0]
+    return integrate(transformed, 0.0, 1.0, rel_tol=rel_tol)[0]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -55,7 +55,8 @@ class PriorSpectrum:
     lambda_c = 0 gives the power law kappa^(p-1)/|omega|^p; a positive
     lambda_c gives the Lorentzian kappa/(lambda_c^2 + omega^2), the p = 2
     power law regularized at low frequency, so lambda_c > 0 demands p = 2.
-    kappa carries rad^2 Hz^(p-1), lambda_c rad/s; all three must be finite.
+    kappa carries rad^2 Hz^(p-1), lambda_c rad/s; all three must be finite,
+    and kappa^(p-1), the divisor of info_deficit, a positive finite float.
     """
 
     kappa: float
@@ -70,22 +71,26 @@ class PriorSpectrum:
         check_finite_nonneg(self.lambda_c, "lambda_c")
         if self.lambda_c > 0.0 and self.p != 2.0:
             raise ValueError("a Lorentzian prior (lambda_c > 0) requires p = 2")
-
-    def spectrum(self, omega):
-        """Phase power spectral density at omega, 1/info_deficit (vectorized)."""
-        return 1.0 / self.info_deficit(omega)
+        with np.errstate(over="ignore"):  # inf past float range, refused below
+            scale = np.float64(self.kappa) ** (self.p - 1.0)
+        if not 0.0 < scale < math.inf:  # 0 would make every info_deficit inf
+            raise ValueError("kappa^(p-1) must be a positive finite float")
 
     def info_deficit(self, omega):
         """Reciprocal spectrum (lambda_c^2 + |omega|^p)/kappa^(p-1).
 
-        Finite at omega = 0 for both priors; vectorized over omega.
+        Finite at omega = 0 for both priors; vectorized over omega; +inf,
+        without a warning, where it passes float range (its limit there).
         """
         return self._deficit()(omega, np.square(omega, dtype=float))
 
     def _deficit(self):
         """(w, w*w) -> info_deficit(w), hoisted; p = 2 uses w*w, the bits of |w| ** 2.0."""
         lam2, scale = map(np.array, (self.lambda_c**2, self.kappa ** (self.p - 1.0)))
-        return lambda w, w2: (lam2 + (w2 if self.p == 2.0 else np.abs(w) ** self.p)) / scale
+        if self.p == 2.0:
+            return lambda w, w2: (lam2 + w2) / scale
+        # lambda_c is 0; past float range the value is +inf, its limit, quietly
+        return np.errstate(over="ignore")(lambda w, w2: np.abs(w) ** self.p / scale)
 
 
 def _pump_and_rate(R_plus, flux_N):
@@ -257,10 +262,10 @@ def _positive_knots(prior, model, spectra, split):
         (1.0 + model.x) * model.gamma_cavity,
         prior.lambda_c,
     ]
-    # where info_deficit crosses each plateau
-    scale = prior.kappa ** (prior.p - 1.0)
+    # where info_deficit crosses each plateau, rooted per factor: scale * cq may overflow
+    scale, root = prior.kappa ** (prior.p - 1.0), 1.0 / prior.p
     for cq in plateaus:
-        knots.append(max(scale * cq - prior.lambda_c**2, 0.0) ** (1.0 / prior.p))
+        knots.append(scale**root * max(cq - prior.lambda_c**2 / scale, 0.0) ** root)
     return sorted({k for k in knots if k > 0.0})
 
 

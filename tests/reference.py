@@ -11,8 +11,6 @@ out.  Slow and exact, so the library's sector-by-sector pure route, built
 from eigenbases of the sector couplings, can be checked against it.
 """
 
-import math
-
 import numpy as np
 import scipy.linalg
 
@@ -54,9 +52,10 @@ def opo_photon_flux_noise(r_plus, flux, omega):
     N = x^2 kappa/(1 - x^2) fixes kappa, and the Gaussian moment
     factorization of <n(t) n(0)> gives
     S_nn = N + (x kappa)^2/2 sum+- 4a+-/((1 -+ x)^2 (4a+-^2 + omega^2)),
-    a+- = (1 -+ x) kappa.
+    a+- = (1 -+ x) kappa.  Arithmetic only, so it runs on floats and on
+    mpmath numbers alike.
     """
-    root = math.sqrt(r_plus)
+    root = r_plus**0.5
     x = (root - 1.0) / (root + 1.0)
     kappa = flux * (1.0 - x * x) / (x * x)
     total = 0.0

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import time
@@ -333,6 +334,17 @@ def test_oracle_sizes_must_be_nonnegative_integers(key, raw, capsys):
     assert "parameter %s needs a nonnegative integer, got %r" % (key, raw) in err
 
 
+@pytest.mark.parametrize("key", ["dim", "bath_dim"])
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("r", ["0", "0.5"])
+def test_oracle_sizes_below_2_are_misuse(key, size, r, capsys):
+    # bath_dim=0 and 1 exited 3, and r=0 bath_dim=1 reported a thermal tail
+    # mass of 0.000e+00 above 1e-08
+    code, out, err = _run(capsys, "oracle", "r=" + r, "%s=%d" % (key, size))
+    assert (code, out) == (2, "")
+    assert err == "usage error: dimension must be an integer >= 2, got %d\n" % size
+
+
 def test_oracle_explicit_sizes_match_automatic_sizing(capsys):
     auto = _run(capsys, "oracle", "r=0.3", "eta=0.9")
     explicit = _run(capsys, "oracle", "r=0.3", "eta=0.9", "dim=14", "bath_dim=14")
@@ -545,6 +557,18 @@ def test_unwritable_output_is_misuse(tmp_path, capsys):
     assert code == 2
     assert "cannot write" in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.access("/dev", os.W_OK)),
+    reason="needs /dev/full in a folder this user may write",
+)
+def test_a_write_that_fails_is_misuse(capsys):
+    # /dev/full passes every check made before the rows run; the write fails
+    argv = ("bound", "eq17", "r=0.8", "eta=0.9", "--out", "/dev/full")
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot write output file: [Errno 28]")
 
 
 def test_outputs_refused_before_any_row(tmp_path, capsys, monkeypatch):

@@ -4,10 +4,13 @@ The closed forms and the Fock oracle must stay two independent routes, so
 importing one may not load the other.  Each module is imported in a fresh
 interpreter and the varqfi modules it loaded are compared with the exact set
 it needs.  The source is also read for imported names that are never used,
-and for functools caches without a fixed bound.
+and for functools caches without a fixed bound; the public callables'
+defaulted parameters are pinned.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -114,3 +117,45 @@ def test_the_package_caches_are_found():
     # test_bench_imports has the bench's reset empty; a finder that sees none
     # would pass the test above everywhere
     assert sum(len(_cache_sizes(ast.parse(p.read_text()))) for p in MODULES) == 3
+
+
+# each defaulted parameter of the library's public callables (a class's
+# constructor), as module.callable:parameter=default: a new knob has to be
+# added here on purpose, as test_option_surface_is_pinned does for the CLI
+_LIBRARY_KNOBS = [
+    "fock_core.TruncationError:suggested_dim=None",
+    "numerics.AccuracyError:best=nan",
+    "numerics.AccuracyError:err_estimate=inf",
+    "numerics.OptimizationError:best_x=None",
+    "numerics.OptimizationError:best_value=nan",
+    "numerics.integrate:rel_tol=1e-08",
+    "numerics.integrate:abs_tol=0.0",
+    "numerics.integrate_semi_infinite:rel_tol=1e-08",
+    "numerics.loglog_slope:window=None",
+    "qfi_oracle.squeezed_probe_qfi:n_T=0.0",
+    "qfi_oracle.squeezed_probe_qfi:lam=0.0",
+    "qfi_oracle.squeezed_probe_qfi:dim=None",
+    "qfi_oracle.squeezed_probe_qfi:bath_dim=None",
+    "waveform.PriorSpectrum:lambda_c=0.0",
+    "waveform.mse_bound:rel_tol=1e-10",
+    "waveform.mse_bound_optimized:rel_tol=1e-10",
+    "waveform.fig3_curve:rel_tol=1e-08",
+]
+
+
+def test_library_knobs_are_pinned():
+    # the CLI's own surface, main(argv=None) included, is pinned in test_cli
+    knobs = []
+    for path in MODULES:
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module("varqfi." + path.stem)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if param.default is not inspect.Parameter.empty:
+                    knobs.append("%s.%s:%s=%r" % (path.stem, name, param.name, param.default))
+    assert knobs == _LIBRARY_KNOBS
+    assert len(knobs) == 17

@@ -300,6 +300,15 @@ def test_minimize_reports_failure_on_unbounded_objective():
         minimize_raw_cq(lambda x, y: x + y, np.zeros((2, 1)))
 
 
+def test_minimize_stops_where_the_newton_step_raises_the_cost():
+    # on sqrt(1 + x^2) the full Newton step from x = 2 is -x (1 + x^2) = -10,
+    # to x = -8, where the cost is sqrt(65): the loop stops at the start
+    with pytest.raises(OptimizationError) as info:
+        minimize_raw_cq(lambda x: math.sqrt(1.0 + x * x), (2.0,))
+    assert np.array_equal(info.value.best_x, [2.0])
+    assert info.value.best_value == math.sqrt(5.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 4), data=st.data())
 def test_minimize_dense_quadratic_from_random_starts(k, data):

@@ -8,6 +8,7 @@ type: a NaN that slips into a truncation loop and fails there does not pass.
 
 import math
 
+import numpy as np
 import pytest
 
 from varqfi.bounds import (
@@ -67,6 +68,7 @@ ENTRY_POINTS = [
     ("raw_diffusion:lam", "finite", lambda x: raw_cq_loss_diffusion(M, 0.8, x, 0, 0)),
     ("loss_pure:eta", "eta", lambda x: lossy_thermal_channel_pure(PSI, x, 0.0, 12)),
     ("loss_pure:n_T", "finite", lambda x: lossy_thermal_channel_pure(PSI, 0.8, x, 12)),
+    ("loss_pure:bath_dim", "dim", lambda x: lossy_thermal_channel_pure(PSI, 0.8, 0.0, x)),
     ("phase_diffusion:lam", "finite", lambda x: phase_diffusion(RHO, x)),
     ("diffusion_quad:lam", "finite", lambda x: phase_diffusion_by_quadrature(RHO, x)),
     ("squeezed_dim:r", "finite", lambda x: squeezed_dim(x)),
@@ -78,9 +80,15 @@ ENTRY_POINTS = [
     ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
     ("oracle:n_T", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
     ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
+    ("oracle:dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, dim=x)),
+    ("oracle:bath_dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, bath_dim=x)),
     ("PriorSpectrum:kappa", "finite", lambda x: PriorSpectrum(x, 2.0, 1.0)),
     ("PriorSpectrum:p", "finite", lambda x: PriorSpectrum(1.0, x)),
     ("PriorSpectrum:lambda_c", "finite", lambda x: PriorSpectrum(1.0, 2.0, x)),
+    # kappa^(p-1), the divisor of info_deficit, must be a positive finite float
+    ("PriorSpectrum:kappa,p=200", "underflow_kappa", lambda x: PriorSpectrum(x, 200.0)),
+    ("PriorSpectrum:kappa,p=400", "overflow_kappa", lambda x: PriorSpectrum(x, 400.0)),
+    ("PriorSpectrum:p,kappa=1e-3", "underflow_p", lambda x: PriorSpectrum(1e-3, x)),
     ("SpectralCqParams:eta", "eta", lambda x: SpectralCqParams(x, 0.5)),
     ("SpectralCqParams:beta", "real", lambda x: SpectralCqParams(0.9, x)),
     ("mse_bound_optimized:eta", "eta", lambda x: mse_bound_optimized(PRIOR, MODEL, x)),
@@ -89,6 +97,8 @@ ENTRY_POINTS = [
     ("scaling_D:eta", "eta", lambda x: scaling_construction_D(1e4, 1e3, x, 1.0, 2.0)),
     ("scaling_D:kappa", "finite", lambda x: scaling_construction_D(1e4, 1e3, 0.9, x, 2.0)),
     ("scaling_D:p", "finite", lambda x: scaling_construction_D(1e4, 1e3, 0.9, 1.0, x)),
+    ("scaling_D:kappa,p=400", "overflow_kappa",
+     lambda x: scaling_construction_D(1e4, 1e3, 0.9, x, 400.0)),
     ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
 ]
 
@@ -100,6 +110,14 @@ BAD_VALUES = {
     "eta": (math.nan, -0.1, 0.0, 1.5),
     # a non-finite beta makes the integrand NaN, or the search's endpoints infinite
     "real": (math.nan, math.inf, -math.inf),
+    # a register below 2 levels is misuse, not a truncation failure
+    "dim": (math.nan, 2.5, -1, 0, 1),
+    # kappa^(p-1) rounds to 0, and every info_deficit would be inf; a numpy
+    # kappa must be refused the same way, without an overflow warning
+    "underflow_kappa": (1e-3, np.float64(1e-3)),
+    "underflow_p": (200.0, 400.0),
+    # kappa^(p-1) passes float range: Python's ** raised a bare OverflowError
+    "overflow_kappa": (10.0, np.float64(10.0)),
 }
 
 CASES = [

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -40,18 +41,18 @@ def test_prior_spectrum_validation():
 
 def test_prior_spectrum_values():
     power = PriorSpectrum(4.0, 3.0)
-    assert abs(power.spectrum(2.0) - 16.0 / 8.0) < 1e-14
     assert abs(power.info_deficit(2.0) - 8.0 / 16.0) < 1e-15
     assert power.info_deficit(0.0) == 0.0
 
     lorentz = PriorSpectrum(3.0, 2.0, 0.5)
-    assert abs(lorentz.spectrum(1.0) - 3.0 / 1.25) < 1e-14
+    assert abs(lorentz.info_deficit(1.0) - 1.25 / 3.0) < 1e-15
     assert abs(lorentz.info_deficit(0.0) - 0.25 / 3.0) < 1e-15
 
     w = np.array([-2.0, -1.0, 1.0, 2.0])
-    s = power.spectrum(w)
-    assert s.shape == w.shape
-    assert np.array_equal(s[:2], s[:1:-1])  # even in omega
+    for prior in (power, lorentz):
+        d = prior.info_deficit(w)
+        assert d.shape == w.shape
+        assert np.array_equal(d[:2], d[:1:-1])  # even in omega
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,6 +417,29 @@ def test_mse_bound_prior_only_limit():
     got = mse_bound(PriorSpectrum(1.3, 2.0, 0.9), tiny, SpectralCqParams(1.0, 1.0))
     expect = 1.3 / (2.0 * 0.9)
     assert abs(got - expect) < 1e-9 * expect
+
+
+def _admissible_prior(p, u):
+    """kappa = 10^(3u), cut where kappa^(p-1) would leave float range."""
+    return 10.0 ** (u * min(3.0, 300.0 / (p - 1.0))), p
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    prior=st.builds(_admissible_prior, st.floats(2.0, 500.0), st.floats(-1.0, 1.0)),
+    params=st.sampled_from([(0.95, 1.0), (1.0, 1.0), (0.5, -3.0)]),
+)
+# |omega|^p, and its ratio to kappa^(p-1), pass float range in the tail; the
+# last one's knot kappa^(p-1) * cq did before the root was taken per factor
+@example(prior=(1.0, 400.0), params=(0.95, 1.0))
+@example(prior=(1e-3, 50.0), params=(0.95, 1.0))
+@example(prior=(1e3, 103.0), params=(0.95, 1.0))
+def test_mse_bound_is_finite_positive_and_silent_for_steep_priors(prior, params):
+    model = OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = mse_bound(PriorSpectrum(*prior), model, SpectralCqParams(*params))
+    assert 0.0 < value < math.inf
 
 
 def test_mse_bound_kappa_doubling_linearity():
