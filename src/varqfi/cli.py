@@ -299,14 +299,12 @@ _AUTO = -1
 
 
 def _oracle_value(p):
-    """The oracle's QFI; fills the automatic sizes into p, so the line shows them."""
-    if p["dim"] == _AUTO:
-        p["dim"] = oracle_dim(p["r"], p["nT"])
-    if p["bath_dim"] == _AUTO:
-        p["bath_dim"] = p["dim"]
-    return squeezed_probe_qfi(
-        p["r"], p["eta"], p["nT"], p["lambda"], dim=p["dim"], bath_dim=p["bath_dim"]
-    )
+    """The oracle's QFI; then fills the automatic sizes into p, so the line shows them."""
+    sizes = {key: p[key] for key in ("dim", "bath_dim") if p[key] != _AUTO}
+    value = squeezed_probe_qfi(p["r"], p["eta"], p["nT"], p["lambda"], **sizes)
+    p["dim"] = sizes.get("dim") or oracle_dim(p["r"], p["nT"])
+    p["bath_dim"] = sizes.get("bath_dim", p["dim"])
+    return value
 
 
 _ORACLE_TABLE = {
@@ -324,8 +322,9 @@ def _parse_params(tokens, fields, name):
     """key=value tokens as floats, keyed as fields, with defaults filled in.
 
     fields holds ordered (key, default) pairs; a None default marks a key
-    the formula cannot run without, and an int default a key that takes a
-    nonnegative integer instead of a float.  A key given twice is misuse.
+    the formula cannot run without, and an int default a register size: a
+    plain-decimal token becomes an int, any other stays text, and the
+    formula's own size check refuses it.  A key given twice is misuse.
     """
     defaults = dict(fields)
     params = {}
@@ -340,11 +339,7 @@ def _parse_params(tokens, fields, name):
         if key in params:
             raise UsageError("parameter %s given twice" % key)
         if isinstance(defaults[key], int):
-            if not raw.isdecimal():  # no sign, point, exponent or nan
-                raise UsageError(
-                    "parameter %s needs a nonnegative integer, got %r" % (key, raw)
-                )
-            params[key] = int(raw)
+            params[key] = int(raw) if raw.isdecimal() else raw  # "-1" stays text
             continue
         try:
             params[key] = float(raw)

@@ -165,16 +165,18 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     loss then diffusion, and evaluates the QFI at the working point (the
     closing phase shift commutes with both noise maps and does not change
     the QFI).  dim and bath_dim override the automatic sizing, which is
-    oracle_dim(r, n_T) for both; a size below 2 is misuse (ValueError).
+    oracle_dim(r, n_T) for both; a given size that is not an integer >= 2
+    is misuse (ValueError), refused before the automatic size is computed.
     Sizes whose product exceeds MAX_PRODUCT_DIM, checked before anything is
     built, or that drop more than TAIL_MASS of the probability
     (_dropped_mass) raise TruncationError suggesting oracle_dim(r, n_T).
     """
+    for size in (dim, bath_dim):
+        if size is not None:
+            _check_dim(size)
     rule = oracle_dim(r, n_T)
     dim = rule if dim is None else dim
     bath_dim = dim if bath_dim is None else bath_dim
-    _check_dim(dim)
-    _check_dim(bath_dim)
     if dim * bath_dim > MAX_PRODUCT_DIM:
         raise TruncationError(
             f"dim*bath_dim={dim * bath_dim} exceeds the cap {MAX_PRODUCT_DIM} "

@@ -235,10 +235,8 @@ class _Spectra:
         return terms
 
 
-@functools.lru_cache(maxsize=1)
-def _spectra(prior, model):
-    """The one _Spectra of the latest (prior, model): a beta search reuses it."""
-    return _Spectra(prior, model)
+# the _Spectra of the latest (prior, model) only: a beta search reuses it
+_spectra = functools.lru_cache(maxsize=1)(_Spectra)
 
 
 def _mse_integrand(spectra, weight2, flat):
@@ -335,7 +333,9 @@ def scaling_construction_D(flux_N, mu, eta, kappa, p):
     D = 4 kappa^(p-1) eta N (17 N + 4 mu) / (N (17 - eta) + 4 mu (1 - eta)),
     with the companion block length L = 8 pi N^2 / mu alongside.  The MSE
     of the scheme scales as D^((1-p)/p), so mu = N^(2p/(p+1)) recovers the
-    lossless exponent and mu = N^(2-1/p) the lossy one.
+    lossless exponent and mu = N^(2-1/p) the lossy one.  A D or L beyond
+    float range raises OverflowError, and only such a D or L: no partial
+    result leaves float range while N and mu exceed 1e-307.
     """
     if not 0.0 < mu < math.inf:  # NaN fails too
         raise ValueError("mu must be positive and finite")
@@ -343,15 +343,17 @@ def scaling_construction_D(flux_N, mu, eta, kappa, p):
         raise ValueError("flux_N must be positive and finite")
     check_eta(eta)
     PriorSpectrum(kappa, p)  # the prior's checks on kappa and p
-    d = (
-        4.0
-        * kappa ** (p - 1.0)
-        * eta
-        * flux_N
-        * (17.0 * flux_N + 4.0 * mu)
-        / (flux_N * (17.0 - eta) + 4.0 * mu * (1.0 - eta))
-    )
-    return ScalingConstruction(d, 8.0 * math.pi * flux_N**2 / mu)
+    # both sums of the ratio over 32, so neither passes float range
+    num = 17.0 / 32.0 * flux_N + mu / 8.0
+    den = (17.0 - eta) / 32.0 * flux_N + (1.0 - eta) / 8.0 * mu
+    d = _product(4.0 * eta, kappa ** (p - 1.0), flux_N, num, 1.0 / den)
+    return ScalingConstruction(d, _product(8.0 * math.pi, flux_N, flux_N, 1.0 / mu))
+
+
+def _product(*factors):
+    """Product of positive finite floats, no partial product leaving float range."""
+    mantissas, exponents = zip(*map(math.frexp, factors))
+    return math.ldexp(math.prod(mantissas), sum(exponents))
 
 
 def fig3_curve(eta, N_grid, rel_tol=1e-8):

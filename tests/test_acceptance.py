@@ -27,7 +27,7 @@ from varqfi.bounds import (
 from varqfi.channels import phase_diffusion, phase_diffusion_by_quadrature
 from varqfi.cli import main as cli_main
 from varqfi.fock_core import DensityMatrix, InputMoments
-from varqfi.numerics import loglog_slope
+from varqfi.numerics import loglog_slope, maximize_scalar
 from varqfi.qfi_oracle import minimize_raw_cq, squeezed_probe_qfi
 from varqfi.waveform import (
     OpoSpectrumModel,
@@ -275,6 +275,37 @@ def test_scaling_exponent_algebra():
         ok,
         "exponent errors %.2e (dense-block rule) and %.2e (lossy rule), "
         "limit 1e-6" % (err_lossless, err_lossy),
+    )
+
+
+def test_powerlaw_exponents():
+    # lossless, the MSE bound minimized over the anti-squeezing level R+
+    # falls as N^(2(1-p)/(p+1)) under the power-law prior kappa^(p-1)/|omega|^p
+    t0 = time.perf_counter()
+    flux = np.logspace(4, 8, 5)
+    lossless = SpectralCqParams(1.0, 0.0)  # beta drops out at eta = 1
+    slopes, worst = {}, 0.0
+    for p in (2.0, 3.0, 4.0):
+        prior = PriorSpectrum(1.0, p)
+        best = []
+        for n in flux:
+            # scan log10(R+ - 1) over [0.5, 9]
+            _, value = maximize_scalar(
+                lambda x: -mse_bound(prior, OpoSpectrumModel(1.0 + 10.0**x, n), lossless),
+                0.5,
+                9.0,
+            )
+            best.append(-value)
+        slopes[p] = loglog_slope(flux, np.array(best), window=(1e6, 1e8))
+        worst = max(worst, abs(slopes[p] - 2.0 * (1.0 - p) / (p + 1.0)))
+    dt = time.perf_counter() - t0
+    ok = worst <= 0.05 and dt < 60.0
+    _verdict(
+        "powerlaw-exponents",
+        ok,
+        "top-two-decade slopes %.4f, %.4f, %.4f at p = 2, 3, 4 (want "
+        "2(1-p)/(p+1) +- 0.05), %.1f s (limit 60 s)"
+        % (slopes[2.0], slopes[3.0], slopes[4.0], dt),
     )
 
 

@@ -327,11 +327,21 @@ def test_fig3_tol_rel_outside_unit_interval_is_misuse(tol, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("key", ["dim", "bath_dim"])
-@pytest.mark.parametrize("raw", ["14.9", "nan", "-3"])
+@pytest.mark.parametrize("raw", ["14.9", "nan", "-3", "-1"])
 def test_oracle_sizes_must_be_nonnegative_integers(key, raw, capsys):
+    # one rule, fock_core's, for every refused size token; "-1" is text, not
+    # the automatic-size sentinel
     code, out, err = _run(capsys, "oracle", "r=0.3", "%s=%s" % (key, raw))
     assert (code, out) == (2, "")
-    assert "parameter %s needs a nonnegative integer, got %r" % (key, raw) in err
+    assert err == "usage error: dimension must be an integer >= 2, got %r\n" % raw
+
+
+@pytest.mark.parametrize("key", ["dim", "bath_dim"])
+def test_oracle_size_is_checked_before_automatic_sizing(key, capsys):
+    # automatic sizing fails at r=5 (exit 3); a bad given size is still misuse
+    code, out, err = _run(capsys, "oracle", "r=5", key + "=x")
+    assert (code, out) == (2, "")
+    assert err == "usage error: dimension must be an integer >= 2, got 'x'\n"
 
 
 @pytest.mark.parametrize("key", ["dim", "bath_dim"])

@@ -82,6 +82,9 @@ ENTRY_POINTS = [
     ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
     ("oracle:dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, dim=x)),
     ("oracle:bath_dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, bath_dim=x)),
+    # a given size is checked before automatic sizing, which fails at r = 5
+    ("oracle:dim,r=5", "dim", lambda x: squeezed_probe_qfi(5.0, 0.8, dim=x)),
+    ("oracle:bath_dim,r=5", "dim", lambda x: squeezed_probe_qfi(5.0, 0.8, bath_dim=x)),
     ("PriorSpectrum:kappa", "finite", lambda x: PriorSpectrum(x, 2.0, 1.0)),
     ("PriorSpectrum:p", "finite", lambda x: PriorSpectrum(1.0, x)),
     ("PriorSpectrum:lambda_c", "finite", lambda x: PriorSpectrum(1.0, 2.0, x)),

@@ -526,6 +526,38 @@ def test_scaling_construction_lossless_limit():
     assert abs(got.D - expect) < 1e-12 * expect
 
 
+@pytest.mark.parametrize(
+    "args, D, L",
+    [
+        # kappa^(p-1) = 1e299: 4 kappa^(p-1) N (17 N + 4 mu) passed float range
+        ((1e4, 1e3, 0.9, 10.0, 300.0), 3.881040892193e303, 2.513274122872e6),
+        # N^2 overflowed in L, and N (17 N + 4 mu) in D
+        ((1e200, 1e200, 0.9, 1.0, 2.0), 4.581818181818e200, 2.513274122872e201),
+        # 4 kappa^(p-1) = 2e308 passed float range
+        ((1.0, 1.0, 0.01, 10.0, 308.7), 2.009533538171e306, 25.13274122872),
+        # 17 N + 4 mu and 8 pi N passed float range
+        ((1e307, 1e308, 0.9, 1e-3, 2.0), 1.020895522388e305, 2.513274122872e307),
+        # 4 kappa^(p-1) N = 4e-350 underflowed to 0
+        ((1e-100, 1e100, 1.0, 1e-2, 126.0), 1.0e-150, 2.513274122872e-299),
+    ],
+)
+def test_scaling_construction_finite_wherever_representable(args, D, L):
+    # references from 40-digit mpmath on the float kappa^(p-1); each case
+    # lost D or L to an intermediate past float range in the plain product
+    got = scaling_construction_D(*args)
+    assert abs(got.D - D) < 1e-12 * D
+    assert abs(got.L - L) < 1e-12 * L
+
+
+@pytest.mark.parametrize(
+    "args", [(1e4, 1e3, 0.9, 10.0, 306.0), (1e300, 1e-10, 0.9, 1.0, 2.0)]
+)
+def test_scaling_construction_beyond_float_range_raises(args):
+    # D = 3.88e309 in the first, L = 2.51e611 in the second
+    with pytest.raises(OverflowError):
+        scaling_construction_D(*args)
+
+
 def test_scaling_construction_validation():
     with pytest.raises(ValueError):
         scaling_construction_D(2.0, 0.0, 0.5, 1.0, 2.0)
