@@ -12,10 +12,30 @@ Gauss-Kronrod engine serves both; a vector panel's error estimate is its
 largest entry of |Kronrod - Gauss|, so the tolerance bounds every entry of
 the result.  A panel's finiteness check reads only its Kronrod sum: every
 Kronrod weight is positive, so one NaN or +-inf value makes the sum non-finite.
+
+A beta search repeats most of its panels, so two caches keep the abscissae
+a panel forms; neither changes a bit of any result, and both start empty:
+
+- _panel_nodes: the 15 abscissae of the panel [a, b], read-only, keyed on
+  (a, b), for the latest 2048 panels (functools.lru_cache(maxsize=2048)).
+  Every panel of every integrate call takes its nodes from it.  One beta
+  search forms at most about 1,500 distinct panels (a power-law row), so
+  the search's later calls find all of theirs there.
+- _tail_maps: the tail map of integrate_semi_infinite for the latest start
+  a only (functools.lru_cache(maxsize=1)).  It memoizes the pair
+  (w, (1 - t)^2) per abscissa array t as _ArrayMemo does: keyed on t's
+  float64 bytes, read-only, for at most _TAIL_MEMO_CAP arrays; later ones
+  are computed and not stored.
+
+Both live as long as the process; cache_clear() empties either, as the
+benchmark does between passes.  Endpoints are checked before any cache is
+read: integrate, integrate_semi_infinite and maximize_scalar refuse
+non-finite ones with ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -115,6 +135,19 @@ _WG = np.zeros(15)
 _WG[1:14:2] = list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 
 
+@functools.lru_cache(maxsize=2048)
+def _panel_nodes(a, b):
+    """The 15 abscissae of the panel [a, b], read-only.
+
+    For a < b, equal keys give the same bits: 0.0 and -0.0, the only equal
+    floats that differ, give the same midpoint and half-width.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = mid + half * _NODES
+    x.flags.writeable = False
+    return x
+
+
 def _gk15_panel(f, a, b):
     """One Gauss-Kronrod panel: returns (kronrod value, error estimate).
 
@@ -122,10 +155,11 @@ def _gk15_panel(f, a, b):
     vector one; the error estimate is |kronrod - gauss|, its largest entry
     for a vector.  A non-finite value raises AccuracyError, found from the
     Kronrod sum alone (each entry of it for a vector): see the module notes.
+    The abscissae come from _panel_nodes, read-only: f must not write into
+    them.
     """
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid + half * _NODES
+    x = _panel_nodes(a, b)
     y = np.asarray(f(x), dtype=float)
     if y.shape == x.shape:
         kron = half * float(_WK.dot(y))
@@ -221,24 +255,77 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0):
     return fsum(item[4] for item in heap), math.fsum(item[5] for item in heap)
 
 
+class _ArrayMemo:
+    """x -> compute(x), a pair of arrays, memoized per float64 array x.
+
+    The key is x's bytes and the stored arrays are read-only.  At most cap
+    arrays are kept; later ones are computed and not stored.
+    """
+
+    def __init__(self, compute, cap):
+        self.compute, self.cap, self.memo = compute, cap, {}
+
+    def __call__(self, x):
+        key = x.tobytes()
+        pair = self.memo.get(key)
+        if pair is None:
+            pair = self.compute(x)
+            for array in pair:
+                array.flags.writeable = False
+            if len(self.memo) < self.cap:
+                self.memo[key] = pair
+        return pair
+
+
+# abscissa arrays one tail map keeps; one fig3 or power-law beta search forms at most ~75
+_TAIL_MEMO_CAP = 1024
+
+
+class _TailMap(_ArrayMemo):
+    """t -> (w, (1 - t)^2) of the map w = a + t/(1 - t), for one start a.
+
+    1 - t is floored at 1e-17, so t = 1 maps to a finite w.  Memoized as
+    the module notes say.
+    """
+
+    def __init__(self, a):
+        # 0-d arrays: faster on an array than Python floats, same bits
+        one, floor, start = np.array(1.0), np.array(1e-17), np.array(a)
+
+        def pair(t):
+            comp = np.maximum(one - t, floor)
+            w = t / comp
+            w += start
+            comp *= comp
+            return w, comp
+
+        super().__init__(pair, _TAIL_MEMO_CAP)
+
+
+# the _TailMap of the latest start a only: the calls of a beta search share it
+_tail_maps = functools.lru_cache(maxsize=1)(_TailMap)
+
+
 def integrate_semi_infinite(f, a, rel_tol=1e-8):
     """Integrate f over [a, infinity) via the substitution w = a + t/(1-t).
 
-    The integrand must decay at least as w**(-p) with p > 1 for the
-    transformed integral to be proper.  f must return one value per
-    abscissa; a vector integrand is rejected with ValueError.  Returns the
-    value of integrate on t in [0, 1] with abs_tol 0, within its MAX_PANELS
-    budget; accuracy failures raise AccuracyError from that rule.
+    a must be finite; anything else, NaN included, raises ValueError.  The
+    integrand must decay at least as w**(-p) with p > 1 for the transformed
+    integral to be proper.  f must return one value per abscissa, and must
+    not write into the read-only abscissae it gets; a vector integrand is
+    rejected with ValueError.  Returns the value of integrate on t in [0, 1]
+    with abs_tol 0, within its MAX_PANELS budget; accuracy failures raise
+    AccuracyError from that rule.
     """
-    # 0-d arrays, and in place only on arrays made here (not f's result): faster, same bits
-    one, floor, a = np.array(1.0), np.array(1e-17), np.array(float(a))
+    a = float(a)
+    if not -math.inf < a < math.inf:  # NaN fails too
+        raise ValueError("integrate_semi_infinite requires a finite start a")
+    tail_map = _tail_maps(a)
 
     def transformed(t):
-        comp = np.maximum(one - t, floor)
-        w = t / comp
-        w += a
-        comp *= comp
-        return np.divide(np.asarray(f(w), dtype=float).reshape(t.shape), comp, out=comp)
+        w, comp2 = tail_map(t)
+        # a new array: comp2 is cached, and f's result is not ours to write into
+        return np.divide(np.asarray(f(w), dtype=float).reshape(t.shape), comp2)
 
     return integrate(transformed, 0.0, 1.0, rel_tol=rel_tol)[0]
 
@@ -254,11 +341,12 @@ def maximize_scalar(f, lo, hi):
     A 33-point grid pre-scan picks the bracket (so mild multimodality is
     survivable; a non-finite sample raises OptimizationError), then
     golden-section refines it to an argmax interval of width _ARGMAX_TOL.
-    The value is never below the best sample.
+    The value is never below the best sample.  lo and hi must be finite
+    with lo < hi; anything else raises ValueError before f is called.
     """
     lo, hi = float(lo), float(hi)
-    if not hi > lo:
-        raise ValueError("maximize_scalar requires hi > lo")
+    if not -math.inf < lo < hi < math.inf:  # NaN fails too
+        raise ValueError("maximize_scalar requires finite endpoints lo < hi")
 
     xs = np.linspace(lo, hi, _PRESCAN_POINTS)
     fs = np.array([float(f(x)) for x in xs])

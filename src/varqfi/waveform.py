@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
+    _ArrayMemo,
     check_eta,
     check_finite_nonneg,
     integrate,
@@ -210,29 +211,23 @@ def _cost(sigma, weight2, flat):
 _MEMO_CAP = 4096
 
 
-class _Spectra:
+class _Spectra(_ArrayMemo):
     """omega -> (info_deficit(omega), sigma_tilde(omega)) for one (prior, model).
 
     The beta-independent terms of the mse_bound integrand, memoized per
-    abscissa array: the key is the array's float64 bytes and the cached
-    arrays are read-only.  At most _MEMO_CAP arrays are kept; later ones
-    are computed and not stored.
+    abscissa array by numerics._ArrayMemo: the key is the array's float64
+    bytes, the cached arrays are read-only, and at most _MEMO_CAP arrays
+    are kept.
     """
 
     def __init__(self, prior, model):
-        self.deficit, self.sigma, self.memo = prior._deficit(), _sigma(model), {}
+        deficit, sigma = prior._deficit(), _sigma(model)
 
-    def __call__(self, omega):
-        key = omega.tobytes()
-        terms = self.memo.get(key)
-        if terms is None:
+        def terms(omega):
             w2 = np.square(omega)
-            terms = self.deficit(omega, w2), self.sigma(w2)
-            for array in terms:
-                array.flags.writeable = False
-            if len(self.memo) < _MEMO_CAP:
-                self.memo[key] = terms
-        return terms
+            return deficit(omega, w2), sigma(w2)
+
+        super().__init__(terms, _MEMO_CAP)
 
 
 # the _Spectra of the latest (prior, model) only: a beta search reuses it

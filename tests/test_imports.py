@@ -96,6 +96,23 @@ def _cache_sizes(tree):
     return sizes
 
 
+def _is_cache(node):
+    while isinstance(node, ast.Call):  # lru_cache(...) and lru_cache(...)(f)
+        node = node.func
+    return _cache_name(node) in ("cache", "lru_cache")
+
+
+def _cached_names(tree):
+    """The name each functools cache made in tree is bound to: a def or an assignment."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            names += [node.name for d in node.decorator_list if _is_cache(d)]
+        elif isinstance(node, ast.Assign) and _is_cache(node.value):
+            names += [t.id for t in node.targets]
+    return names
+
+
 def test_cache_finder_sees_each_form():
     source = (
         "@functools.cache\ndef f(): pass\n@lru_cache\ndef g(): pass\n"
@@ -103,6 +120,7 @@ def test_cache_finder_sees_each_form():
         "@functools.lru_cache(maxsize=0)\ndef m(): pass\n"
     )
     assert sorted(_cache_sizes(ast.parse(source)), key=str) == [4, None, None, None, None]
+    assert sorted(_cached_names(ast.parse(source))) == ["f", "g", "h", "k", "m"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -112,11 +130,22 @@ def test_every_cache_has_a_fixed_bound(path):
     assert None not in _cache_sizes(ast.parse(path.read_text()))
 
 
+PACKAGE_CACHES = [
+    "fock_core._sector_basis",
+    "fock_core._sectors",
+    "numerics._panel_nodes",
+    "numerics._tail_maps",
+    "waveform._spectra",
+]
+
+
 def test_the_package_caches_are_found():
-    # waveform._spectra, fock_core._sectors and _sector_basis, the caches that
-    # test_bench_imports has the bench's reset empty; a finder that sees none
-    # would pass the test above everywhere
-    assert sum(len(_cache_sizes(ast.parse(p.read_text()))) for p in MODULES) == 3
+    # the caches test_bench_imports has the bench's reset empty; a finder
+    # that sees none would pass the test above everywhere
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    found = sorted(f"{stem}.{name}" for stem, tree in trees.items() for name in _cached_names(tree))
+    assert found == PACKAGE_CACHES
+    assert sum(len(_cache_sizes(tree)) for tree in trees.values()) == len(PACKAGE_CACHES)
 
 
 # each defaulted parameter of the library's public callables (a class's

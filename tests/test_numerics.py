@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varqfi import numerics
 from varqfi.numerics import (
     AccuracyError,
     OptimizationError,
+    _gk15_panel,
     integrate,
     integrate_semi_infinite,
     loglog_slope,
@@ -54,6 +57,89 @@ def test_integrate_vector_valued():
     assert value.shape == (2,)
     assert np.max(np.abs(value - [2.0, 0.0])) < 1e-12
     assert err < 1e-12
+
+
+def _bumpy(x):
+    return np.cos(3.0 * x) / (1.0 + x * x)
+
+
+def _written_out_panel(f, a, b):
+    """One panel with its nodes formed afresh: the reference for the cached route's bits."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    y = f(mid + half * numerics._NODES)
+    kron = half * float(numerics._WK.dot(y))
+    return kron, abs(kron - half * float(numerics._WG.dot(y)))
+
+
+def _other_zero(v):
+    """-0.0 for 0.0 and back: an equal key with other bits."""
+    return -v if v == 0.0 else v
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(_ZEROS, st.floats(-1e6, 1e6)),
+    # relative widths down to the 1e-15 floor below which integrate splits no panel
+    width=st.one_of(st.floats(1e-15, 1e-12), st.floats(1e-12, 1e6)),
+    b_zero=st.one_of(st.none(), _ZEROS),
+)
+def test_panel_nodes_give_the_same_bits_cold_and_warm(a, width, b_zero):
+    b = a + width * max(1.0, abs(a)) if b_zero is None else b_zero
+    assume(a < b)
+    want = [v.hex() for v in _written_out_panel(_bumpy, a, b)]
+    assert [v.hex() for v in _written_out_panel(_bumpy, _other_zero(a), _other_zero(b))] == want
+    numerics._panel_nodes.cache_clear()
+    cold = _gk15_panel(_bumpy, a, b)
+    warm = _gk15_panel(_bumpy, a, b)
+    # (a, b) with the other sign of a zero endpoint is an equal key
+    other = _gk15_panel(_bumpy, _other_zero(a), _other_zero(b))
+    assert numerics._panel_nodes.cache_info()[:2] == (2, 1)  # hits, misses
+    for got in (cold, warm, other):
+        assert [v.hex() for v in got] == want
+
+
+def test_array_memo_keys_on_bytes_and_keeps_at_most_its_cap():
+    # the one memo behind the tail map and waveform's spectral terms
+    calls = []
+
+    def pair(x):
+        calls.append(x.tobytes())
+        return x * 2.0, x + 1.0
+
+    memo = numerics._ArrayMemo(pair, 2)
+    xs = [np.linspace(0.0, k, 15) for k in (1.0, 2.0, 3.0)]
+    first = memo(xs[0])
+    assert memo(xs[0].copy()) is first
+    assert not (first[0].flags.writeable or first[1].flags.writeable)
+    for x in xs[1:]:
+        memo(x)
+    assert list(memo.memo) == [x.tobytes() for x in xs[:2]]
+    # the array past the cap is computed each time, with the same bits
+    third = memo(xs[2])
+    assert calls == [x.tobytes() for x in xs] + [xs[2].tobytes()]
+    assert all(np.array_equal(got, want) for got, want in zip(third, pair(xs[2])))
+
+
+def test_an_integrand_cannot_write_into_its_abscissae():
+    # a write into cached abscissae would corrupt every later panel that reuses them
+    def writes(x):
+        x[0] = 0.5
+        return np.ones_like(x)
+
+    numerics._panel_nodes.cache_clear()
+    numerics._tail_maps.cache_clear()
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(writes, 0.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_semi_infinite(writes, 2.0)
+    t = numerics._panel_nodes(0.0, 1.0)
+    assert np.array_equal(t, 0.5 + 0.5 * numerics._NODES)
+    w, comp2 = numerics._tail_maps(2.0)(t)
+    assert np.array_equal(w, 2.0 + t / np.maximum(1.0 - t, 1e-17))
+    assert not (w.flags.writeable or comp2.flags.writeable)
 
 
 def test_integrate_rejects_bad_integrand_shape():
@@ -110,6 +196,15 @@ def test_semi_infinite_rejects_one_non_finite_value(bad, node):
 def test_integrate_rejects_endpoints_not_finite_and_increasing(a, b):
     with pytest.raises(ValueError, match="finite endpoints a < b"):
         integrate(np.sin, a, b)
+
+
+@pytest.mark.parametrize("a", [-math.inf, math.inf, math.nan])
+def test_semi_infinite_rejects_a_start_not_finite(a):
+    # -inf used to give 0.0 for an integral of pi, inf 0.0, and nan an AccuracyError
+    numerics._tail_maps.cache_clear()
+    with pytest.raises(ValueError, match="finite start a"):
+        integrate_semi_infinite(lambda w: 1.0 / (1.0 + w * w), a)
+    assert numerics._tail_maps.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -197,6 +292,13 @@ def test_maximize_scalar_never_below_prescan():
 def test_maximize_scalar_bad_bracket():
     with pytest.raises(ValueError):
         maximize_scalar(lambda x: x, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_maximize_scalar_rejects_endpoints_not_finite(lo, hi):
+    # an infinite end used to emit a RuntimeWarning, then raise OptimizationError
+    with pytest.raises(ValueError, match="finite endpoints lo < hi"):
+        maximize_scalar(lambda x: x, lo, hi)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -31,6 +31,7 @@ from varqfi.fock_core import (
     squeezed_vacuum,
     thermal_dim,
 )
+from varqfi.numerics import integrate, integrate_semi_infinite, maximize_scalar
 from varqfi.qfi_oracle import squeezed_probe_qfi
 from varqfi.waveform import (
     OpoSpectrumModel,
@@ -42,6 +43,12 @@ from varqfi.waveform import (
 )
 
 M = InputMoments(1.0, 4.0)
+
+
+def _no_work(x):
+    raise AssertionError("called before the endpoints were checked")
+
+
 PSI = squeezed_vacuum(0.2, 12)
 RHO = PSI.density()
 PRIOR = PriorSpectrum(1.0, 2.0, 1.0)
@@ -103,6 +110,12 @@ ENTRY_POINTS = [
     ("scaling_D:kappa,p=400", "overflow_kappa",
      lambda x: scaling_construction_D(1e4, 1e3, 0.9, x, 400.0)),
     ("fig3_curve:eta", "eta", lambda x: fig3_curve(x, [1e4])),
+    # the numerics endpoints: an integrand or objective that is called fails
+    ("integrate:a", "real", lambda x: integrate(_no_work, x, 1.0)),
+    ("integrate:b", "real", lambda x: integrate(_no_work, 0.0, x)),
+    ("integrate_semi_infinite:a", "real", lambda x: integrate_semi_infinite(_no_work, x)),
+    ("maximize_scalar:lo", "real", lambda x: maximize_scalar(_no_work, x, 1.0)),
+    ("maximize_scalar:hi", "real", lambda x: maximize_scalar(_no_work, -1.0, x)),
 ]
 
 # an infinite r, n_T or lam makes sinh and cosh inf, or meets 0 * inf,

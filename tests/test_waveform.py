@@ -318,11 +318,39 @@ def test_memo_never_holds_more_than_its_cap(cap):
     waveform._spectra.cache_clear()
 
 
+@pytest.mark.parametrize("cap", [1, 7, 10_000])
+def test_tail_memo_never_holds_more_than_its_cap(cap):
+    prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
+    params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
+    # the tail start is the largest knot, the same for every beta
+    start = (1.0 + model.x) * model.gamma_cavity
+    numerics._tail_maps.cache_clear()
+    want = [mse_bound(prior, model, q) for q in params]
+    uncapped = len(numerics._tail_maps(start).memo)
+    assert uncapped > 7
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_TAIL_MEMO_CAP", cap)
+        numerics._tail_maps.cache_clear()
+        got = []
+        for q in params:
+            got.append(mse_bound(prior, model, q))
+            assert len(numerics._tail_maps(start).memo) <= cap
+    assert len(numerics._tail_maps(start).memo) == min(cap, uncapped)
+    assert got == want
+    numerics._tail_maps.cache_clear()
+
+
 def test_memo_of_a_beta_search_stays_below_its_cap():
     # the fig3 grid's largest flux, lossy: 66 mse_bound calls share one memo
+    # each; an LRU of nodes smaller than the search's panels would miss on each
     model = OpoSpectrumModel(16.0 * 1e8 ** (1.0 / 3.0), 1e8)
+    numerics._panel_nodes.cache_clear()
     mse_bound_optimized(PriorSpectrum(1.0, 2.0, 1.0), model, 0.95, rel_tol=1e-8)
     assert 0 < len(waveform._spectra(PriorSpectrum(1.0, 2.0, 1.0), model).memo) < waveform._MEMO_CAP
+    start = (1.0 + model.x) * model.gamma_cavity
+    assert 0 < len(numerics._tail_maps(start).memo) < numerics._TAIL_MEMO_CAP
+    nodes = numerics._panel_nodes.cache_info()
+    assert 0 < nodes.currsize < nodes.maxsize
 
 
 def test_memoized_terms_are_read_only():
@@ -375,7 +403,15 @@ def test_tail_map_is_bit_identical(p, beta, a, t):
         comp = np.maximum(1.0 - t, 1e-17)
         written_out = np.asarray(f(a + t / comp)).reshape(t.shape) / (comp * comp)
         given_t = t.copy()
-        assert np.array_equal(_tail_map(f, a)(given_t), written_out)
+        numerics._tail_maps.cache_clear()
+        cold = _tail_map(f, a)(given_t)
+        warm = _tail_map(f, a)(t.copy())
+        assert list(numerics._tail_maps(a).memo) == [t.tobytes()]
+        # another start replaces the memo; back at a, the map is formed afresh
+        _tail_map(f, a + 1.0)(t.copy())
+        again = _tail_map(f, a)(t.copy())
+        for got in (cold, warm, again):
+            assert np.array_equal(got, written_out)
         assert np.array_equal(given_t, t)
 
 
