@@ -22,7 +22,7 @@ from .fock_core import (
     squeezed_vacuum,
     thermal_dim,
 )
-from .numerics import OptimizationError
+from .numerics import OptimizationError, check_eta, check_finite_nonneg
 
 __all__ = [
     "qfi_phase_covariant",
@@ -165,12 +165,16 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     loss then diffusion, and evaluates the QFI at the working point (the
     closing phase shift commutes with both noise maps and does not change
     the QFI).  dim and bath_dim override the automatic sizing, which is
-    oracle_dim(r, n_T) for both; a given size that is not an integer >= 2
-    is misuse (ValueError), refused before the automatic size is computed.
+    oracle_dim(r, n_T) for both.  An eta outside (0, 1], an n_T or lam not
+    finite and nonnegative, and a given size that is not an integer >= 2
+    are misuse (ValueError), refused before the automatic size is computed.
     Sizes whose product exceeds MAX_PRODUCT_DIM, checked before anything is
     built, or that drop more than TAIL_MASS of the probability
     (_dropped_mass) raise TruncationError suggesting oracle_dim(r, n_T).
     """
+    check_eta(eta)
+    check_finite_nonneg(n_T, "n_T")
+    check_finite_nonneg(lam, "lam")
     for size in (dim, bath_dim):
         if size is not None:
             _check_dim(size)

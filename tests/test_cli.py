@@ -344,6 +344,21 @@ def test_oracle_size_is_checked_before_automatic_sizing(key, capsys):
     assert err == "usage error: dimension must be an integer >= 2, got 'x'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("r=5", "eta=2"), "eta must lie in (0, 1]"),
+        (("r=5", "nT=-1"), "n_T must be nonnegative and finite"),
+        (("r=5", "lambda=nan"), "lam must be nonnegative and finite"),
+        (("r=2", "eta=0", "nT=3"), "eta must lie in (0, 1]"),
+    ],
+)
+def test_oracle_misuse_is_refused_before_automatic_sizing(argv, message, capsys):
+    # each exited 3 with a truncation message: the sizing ran first
+    code, out, err = _run(capsys, "oracle", *argv)
+    assert (code, out, err) == (2, "", "usage error: %s\n" % message)
+
+
 @pytest.mark.parametrize("key", ["dim", "bath_dim"])
 @pytest.mark.parametrize("size", [0, 1])
 @pytest.mark.parametrize("r", ["0", "0.5"])

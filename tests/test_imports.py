@@ -4,8 +4,9 @@ The closed forms and the Fock oracle must stay two independent routes, so
 importing one may not load the other.  Each module is imported in a fresh
 interpreter and the varqfi modules it loaded are compared with the exact set
 it needs.  The source is also read for imported names that are never used,
-and for functools caches without a fixed bound; the public callables'
-defaulted parameters are pinned.
+for private names one module imports from another, and for functools
+caches without a fixed bound; the public callables' defaulted parameters
+are pinned.
 """
 
 import ast
@@ -134,8 +135,9 @@ PACKAGE_CACHES = [
     "fock_core._sector_basis",
     "fock_core._sectors",
     "numerics._panel_nodes",
-    "numerics._tail_maps",
+    "numerics._tail_map",
     "waveform._spectra",
+    "waveform.terms",  # the evaluator _spectra returns, one per (prior, model)
 ]
 
 
@@ -146,6 +148,27 @@ def test_the_package_caches_are_found():
     found = sorted(f"{stem}.{name}" for stem, tree in trees.items() for name in _cached_names(tree))
     assert found == PACKAGE_CACHES
     assert sum(len(_cache_sizes(tree)) for tree in trees.values()) == len(PACKAGE_CACHES)
+
+
+def _private_imports(stem, tree):
+    """'importer: module._name' for each private name tree imports from a varqfi module."""
+    return [
+        "%s: %s.%s" % (stem, (node.module or "").split(".")[-1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("varqfi"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # a private name is its module's own policy (a cache's bound, a memo
+    # class); another module importing it couples the two, as waveform's
+    # spectral memo once did through numerics
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    found = sorted(name for stem, tree in trees.items() for name in _private_imports(stem, tree))
+    assert found == ["channels: fock_core._check_dim", "qfi_oracle: fock_core._check_dim"]
 
 
 # each defaulted parameter of the library's public callables (a class's

@@ -101,26 +101,17 @@ def test_panel_nodes_give_the_same_bits_cold_and_warm(a, width, b_zero):
         assert [v.hex() for v in got] == want
 
 
-def test_array_memo_keys_on_bytes_and_keeps_at_most_its_cap():
-    # the one memo behind the tail map and waveform's spectral terms
-    calls = []
-
-    def pair(x):
-        calls.append(x.tobytes())
-        return x * 2.0, x + 1.0
-
-    memo = numerics._ArrayMemo(pair, 2)
-    xs = [np.linspace(0.0, k, 15) for k in (1.0, 2.0, 3.0)]
-    first = memo(xs[0])
-    assert memo(xs[0].copy()) is first
+def test_tail_map_keys_on_bytes_and_matches_its_function():
+    # the cache behind integrate_semi_infinite's map: an equal array is a hit,
+    # and a cached pair has the bits of the function behind the cache
+    numerics._tail_map.cache_clear()
+    t = np.linspace(0.0, 1.0, 15)
+    first = numerics._tail_map(2.0, t.tobytes())
+    assert numerics._tail_map(2.0, t.copy().tobytes()) is first
+    assert numerics._tail_map.cache_info()[:2] == (1, 1)  # hits, misses
+    for got, want in zip(first, numerics._tail_map.__wrapped__(2.0, t.tobytes())):
+        assert np.array_equal(got, want)
     assert not (first[0].flags.writeable or first[1].flags.writeable)
-    for x in xs[1:]:
-        memo(x)
-    assert list(memo.memo) == [x.tobytes() for x in xs[:2]]
-    # the array past the cap is computed each time, with the same bits
-    third = memo(xs[2])
-    assert calls == [x.tobytes() for x in xs] + [xs[2].tobytes()]
-    assert all(np.array_equal(got, want) for got, want in zip(third, pair(xs[2])))
 
 
 def test_an_integrand_cannot_write_into_its_abscissae():
@@ -130,14 +121,14 @@ def test_an_integrand_cannot_write_into_its_abscissae():
         return np.ones_like(x)
 
     numerics._panel_nodes.cache_clear()
-    numerics._tail_maps.cache_clear()
+    numerics._tail_map.cache_clear()
     with pytest.raises(ValueError, match="read-only"):
         integrate(writes, 0.0, 1.0)
     with pytest.raises(ValueError, match="read-only"):
         integrate_semi_infinite(writes, 2.0)
     t = numerics._panel_nodes(0.0, 1.0)
     assert np.array_equal(t, 0.5 + 0.5 * numerics._NODES)
-    w, comp2 = numerics._tail_maps(2.0)(t)
+    w, comp2 = numerics._tail_map(2.0, t.tobytes())
     assert np.array_equal(w, 2.0 + t / np.maximum(1.0 - t, 1e-17))
     assert not (w.flags.writeable or comp2.flags.writeable)
 
@@ -201,10 +192,10 @@ def test_integrate_rejects_endpoints_not_finite_and_increasing(a, b):
 @pytest.mark.parametrize("a", [-math.inf, math.inf, math.nan])
 def test_semi_infinite_rejects_a_start_not_finite(a):
     # -inf used to give 0.0 for an integral of pi, inf 0.0, and nan an AccuracyError
-    numerics._tail_maps.cache_clear()
+    numerics._tail_map.cache_clear()
     with pytest.raises(ValueError, match="finite start a"):
         integrate_semi_infinite(lambda w: 1.0 / (1.0 + w * w), a)
-    assert numerics._tail_maps.cache_info().currsize == 0
+    assert numerics._tail_map.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -326,3 +317,12 @@ def test_loglog_slope_rejects_bad_input():
         loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(ValueError, match="equal length"):
         loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0])
+    # NaN and inf passed the check and gave a nan slope, or a RuntimeWarning
+    for xs, ys in [
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+        ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+    ]:
+        with pytest.raises(ValueError, match="positive finite data"):
+            loglog_slope(xs, ys)

@@ -89,9 +89,13 @@ ENTRY_POINTS = [
     ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
     ("oracle:dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, dim=x)),
     ("oracle:bath_dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, bath_dim=x)),
-    # a given size is checked before automatic sizing, which fails at r = 5
+    # a given size, eta, n_T and lam are checked before automatic sizing,
+    # which fails at r = 5 with a TruncationError
     ("oracle:dim,r=5", "dim", lambda x: squeezed_probe_qfi(5.0, 0.8, dim=x)),
     ("oracle:bath_dim,r=5", "dim", lambda x: squeezed_probe_qfi(5.0, 0.8, bath_dim=x)),
+    ("oracle:eta,r=5", "eta", lambda x: squeezed_probe_qfi(5.0, x)),
+    ("oracle:n_T,r=5", "finite", lambda x: squeezed_probe_qfi(5.0, 0.8, x)),
+    ("oracle:lam,r=5", "finite", lambda x: squeezed_probe_qfi(5.0, 0.8, 0.0, x)),
     ("PriorSpectrum:kappa", "finite", lambda x: PriorSpectrum(x, 2.0, 1.0)),
     ("PriorSpectrum:p", "finite", lambda x: PriorSpectrum(1.0, x)),
     ("PriorSpectrum:lambda_c", "finite", lambda x: PriorSpectrum(1.0, 2.0, x)),

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -23,7 +24,10 @@ from varqfi.waveform import (
     sigma_tilde,
     spectral_cq,
 )
-from varqfi.waveform import _loss_split, _mse_integrand, _Spectra
+from varqfi.waveform import _loss_split, _mse_integrand
+
+# a new evaluator of one (prior, model), with an empty cache of its own
+_new_spectra = waveform._spectra.__wrapped__
 
 
 def test_prior_spectrum_validation():
@@ -259,7 +263,7 @@ def test_hoisted_integrand_is_bit_identical(kappa, p, lambda_c, r_plus, flux, et
     # eta and beta near 0 shrink the cost to 0 or a subnormal, where 1/cost is
     # +inf on every route
     with np.errstate(divide="ignore", over="ignore"):
-        integrand = _mse_integrand(_Spectra(prior, model), *_loss_split(model, params))
+        integrand = _mse_integrand(_new_spectra(prior, model), *_loss_split(model, params))
         got = integrand(omega)
         want = 1.0 / (prior.info_deficit(omega) + spectral_cq(omega, model, params))
         written_out = _unhoisted_integrand(prior, model, params, omega)
@@ -291,29 +295,46 @@ def test_memo_gives_the_same_bits_cold_and_warm(
 
     cold = {}
     for beta in betas:
-        waveform._spectra.cache_clear()
+        _clear_caches()
         cold[beta] = bound(beta)
-    waveform._spectra.cache_clear()
+    _clear_caches()
     warm = {beta: bound(beta) for beta in data.draw(st.permutations(betas))}
-    assert len(waveform._spectra(prior, model).memo) > 0
+    assert waveform._spectra(prior, model).cache_info().hits > 0
+    assert numerics._panel_nodes.cache_info().hits > 0
     assert warm == cold
+
+
+def _clear_caches():
+    for cache in (waveform._spectra, numerics._tail_map, numerics._panel_nodes):
+        cache.cache_clear()
+
+
+def _spectra_of_bound(cap):
+    """waveform._spectra with an inner LRU of cap arrays in place of its own."""
+
+    @functools.lru_cache(maxsize=1)
+    def spectra(prior, model):
+        return functools.lru_cache(maxsize=cap)(_new_spectra(prior, model).__wrapped__)
+
+    return spectra
 
 
 @pytest.mark.parametrize("cap", [1, 7, 10_000])
 def test_memo_never_holds_more_than_its_cap(cap):
+    # an LRU of any bound gives the bits of the function behind the cache
     prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
     params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
     waveform._spectra.cache_clear()
     want = [mse_bound(prior, model, q) for q in params]
-    uncapped = len(waveform._spectra(prior, model).memo)
+    uncapped = waveform._spectra(prior, model).cache_info().currsize
+    spectra = _spectra_of_bound(cap)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(waveform, "_MEMO_CAP", cap)
-        waveform._spectra.cache_clear()
+        patch.setattr(waveform, "_spectra", spectra)
         got = []
         for q in params:
             got.append(mse_bound(prior, model, q))
-            assert len(waveform._spectra(prior, model).memo) <= cap
-    assert len(waveform._spectra(prior, model).memo) == min(cap, uncapped)
+            assert spectra(prior, model).cache_info().currsize <= cap
+    assert spectra(prior, model).cache_info().currsize == min(cap, uncapped)
     assert got == want
     waveform._spectra.cache_clear()
 
@@ -322,62 +343,96 @@ def test_memo_never_holds_more_than_its_cap(cap):
 def test_tail_memo_never_holds_more_than_its_cap(cap):
     prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
     params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
-    # the tail start is the largest knot, the same for every beta
-    start = (1.0 + model.x) * model.gamma_cavity
-    numerics._tail_maps.cache_clear()
+    numerics._tail_map.cache_clear()
     want = [mse_bound(prior, model, q) for q in params]
-    uncapped = len(numerics._tail_maps(start).memo)
+    uncapped = numerics._tail_map.cache_info().currsize
     assert uncapped > 7
+    tail_map = functools.lru_cache(maxsize=cap)(numerics._tail_map.__wrapped__)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_TAIL_MEMO_CAP", cap)
-        numerics._tail_maps.cache_clear()
+        patch.setattr(numerics, "_tail_map", tail_map)
         got = []
         for q in params:
             got.append(mse_bound(prior, model, q))
-            assert len(numerics._tail_maps(start).memo) <= cap
-    assert len(numerics._tail_maps(start).memo) == min(cap, uncapped)
+            assert tail_map.cache_info().currsize <= cap
+    assert tail_map.cache_info().currsize == min(cap, uncapped)
     assert got == want
-    numerics._tail_maps.cache_clear()
+    numerics._tail_map.cache_clear()
+
+
+def _fig3_row(flux):
+    """Run one lossy fig3 row from cold caches; its model and the evaluator it used."""
+    prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * flux ** (1.0 / 3.0), flux)
+    _clear_caches()
+    mse_bound_optimized(prior, model, 0.95, rel_tol=1e-8)
+    return model, waveform._spectra(prior, model)
 
 
 def test_memo_of_a_beta_search_stays_below_its_cap():
-    # the fig3 grid's largest flux, lossy: 66 mse_bound calls share one memo
-    # each; an LRU of nodes smaller than the search's panels would miss on each
-    model = OpoSpectrumModel(16.0 * 1e8 ** (1.0 / 3.0), 1e8)
-    numerics._panel_nodes.cache_clear()
-    mse_bound_optimized(PriorSpectrum(1.0, 2.0, 1.0), model, 0.95, rel_tol=1e-8)
-    assert 0 < len(waveform._spectra(PriorSpectrum(1.0, 2.0, 1.0), model).memo) < waveform._MEMO_CAP
-    start = (1.0 + model.x) * model.gamma_cavity
-    assert 0 < len(numerics._tail_maps(start).memo) < numerics._TAIL_MEMO_CAP
-    nodes = numerics._panel_nodes.cache_info()
-    assert 0 < nodes.currsize < nodes.maxsize
+    # the fig3 grid's largest flux, lossy: 66 mse_bound calls share each
+    # cache.  A call finds what the call before it formed only if one call's
+    # arrays fit in each LRU; the node and tail caches hold the whole search
+    model, spectra = _fig3_row(1e8)
+    for cache in (numerics._tail_map, numerics._panel_nodes):
+        info = cache.cache_info()
+        assert 0 < info.currsize < info.maxsize
+    assert spectra.cache_info().currsize == spectra.cache_info().maxsize
+    _clear_caches()
+    mse_bound(PriorSpectrum(1.0, 2.0, 1.0), model, SpectralCqParams(0.95, -3.0), rel_tol=1e-8)
+    spectra = waveform._spectra(PriorSpectrum(1.0, 2.0, 1.0), model)
+    for cache in (spectra, numerics._tail_map, numerics._panel_nodes):
+        info = cache.cache_info()
+        assert 0 < 2 * info.currsize < info.maxsize
+
+
+def _hit_share(cache):
+    info = cache.cache_info()
+    return info.hits / (info.hits + info.misses)
+
+
+def test_each_cache_pays_on_a_beta_search():
+    # measured on this row: nodes 0.875, spectral terms 0.873, tail 0.985; a
+    # key that includes beta, or a bound below one call's arrays (67 spectral,
+    # 49 tail, 65 nodes here), drops a share far below its floor
+    _, spectra = _fig3_row(1e8)
+    assert _hit_share(numerics._panel_nodes) >= 0.8
+    assert _hit_share(spectra) >= 0.8
+    assert _hit_share(numerics._tail_map) >= 0.95
 
 
 def test_memoized_terms_are_read_only():
-    spectra = _Spectra(PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0))
+    spectra = _new_spectra(PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0))
     omega = np.linspace(0.0, 50.0, 15)
-    terms = spectra(omega)
-    assert spectra(omega.copy()) is terms
-    for array in terms:
-        assert not array.flags.writeable
+    terms = spectra(omega.tobytes())
+    assert spectra(omega.copy().tobytes()) is terms
+    for got, want in zip(terms, spectra.__wrapped__(omega.tobytes())):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
         with pytest.raises(ValueError):
-            array[0] = 1.0
+            got[0] = 1.0
 
 
 @pytest.mark.parametrize("node", range(15))
 def test_memo_tells_apart_abscissae_one_ulp_apart(node):
     prior, model = PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0)
-    spectra = _Spectra(prior, model)
+    spectra = _new_spectra(prior, model)
     omega = np.linspace(0.0, 50.0, 15)
-    spectra(omega)
-    other = omega.copy()
-    other[node] = np.nextafter(other[node], 100.0)
-    for got, want in zip(spectra(other), _Spectra(prior, model)(other)):
+    t = np.linspace(0.0, 0.9, 15)
+    numerics._tail_map.cache_clear()
+    spectra(omega.tobytes())
+    numerics._tail_map(2.0, t.tobytes())
+    omega[node] = np.nextafter(omega[node], 100.0)
+    t[node] = np.nextafter(t[node], 1.0)
+    for got, want in zip(spectra(omega.tobytes()), spectra.__wrapped__(omega.tobytes())):
         assert np.array_equal(got, want)
-    assert len(spectra.memo) == 2
+    for got, want in zip(
+        numerics._tail_map(2.0, t.tobytes()), numerics._tail_map.__wrapped__(2.0, t.tobytes())
+    ):
+        assert np.array_equal(got, want)
+    for cache in (spectra, numerics._tail_map):
+        assert cache.cache_info().hits == 0 and cache.cache_info().currsize == 2
 
 
-def _tail_map(f, a):
+def _tail_integrand(f, a):
     """The integrand integrate_semi_infinite hands to integrate, caught on its way in."""
     caught = []
     with pytest.MonkeyPatch.context() as patch:
@@ -399,17 +454,17 @@ def test_tail_map_is_bit_identical(p, beta, a, t):
     split = _loss_split(model, SpectralCqParams(0.95, beta))
     for prior in (PriorSpectrum(1.0, 2.0, 1.0), PriorSpectrum(1.0, p)):
         # the tail map's call finds the abscissae written_out evaluated in the memo
-        f = _mse_integrand(_Spectra(prior, model), *split)
+        f = _mse_integrand(_new_spectra(prior, model), *split)
         comp = np.maximum(1.0 - t, 1e-17)
         written_out = np.asarray(f(a + t / comp)).reshape(t.shape) / (comp * comp)
         given_t = t.copy()
-        numerics._tail_maps.cache_clear()
-        cold = _tail_map(f, a)(given_t)
-        warm = _tail_map(f, a)(t.copy())
-        assert list(numerics._tail_maps(a).memo) == [t.tobytes()]
-        # another start replaces the memo; back at a, the map is formed afresh
-        _tail_map(f, a + 1.0)(t.copy())
-        again = _tail_map(f, a)(t.copy())
+        numerics._tail_map.cache_clear()
+        cold = _tail_integrand(f, a)(given_t)
+        warm = _tail_integrand(f, a)(t.copy())
+        # a second start is a second key; back at a, the first entry is found
+        _tail_integrand(f, a + 1.0)(t.copy())
+        again = _tail_integrand(f, a)(t.copy())
+        assert numerics._tail_map.cache_info()[:2] == (2, 2)  # hits, misses
         for got in (cold, warm, again):
             assert np.array_equal(got, written_out)
         assert np.array_equal(given_t, t)
@@ -417,7 +472,7 @@ def test_tail_map_is_bit_identical(p, beta, a, t):
 
 def test_tail_map_leaves_the_integrand_result_alone():
     # a read-only result raises if the map divides it in place
-    ones = _tail_map(lambda w: np.broadcast_to(1.0, w.shape), 2.0)(np.array([0.0, 0.5, 1.0]))
+    ones = _tail_integrand(lambda w: np.broadcast_to(1.0, w.shape), 2.0)(np.array([0.0, 0.5, 1.0]))
     assert np.array_equal(ones, [1.0, 4.0, 1.0 / (1e-17 * 1e-17)])
 
 
