@@ -22,8 +22,8 @@ from .fock_core import (
     TAIL_MASS,
     DensityMatrix,
     TruncationError,
-    _check_dim,
     beam_splitter_apply,
+    check_dim,
     thermal_dim,
 )
 from .numerics import check_eta, check_finite_nonneg, integrate
@@ -59,7 +59,7 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
     TruncationError, and below 2 levels a ValueError.
     """
     check_eta(eta)
-    _check_dim(bath_dim)
+    check_dim(bath_dim)
     floor = thermal_dim(n_T)  # rejects a negative or NaN n_T
     q = n_T / (n_T + 1.0)
     if bath_dim < floor:
@@ -109,16 +109,17 @@ def phase_diffusion_by_quadrature(rho, lam):
     c_d = integral of w(phi) cos(d phi) dphi: w is even and the window
     symmetric, so the sine part is exactly zero.  The dim averages
     c_0 ... c_{dim-1} are one vector integral on the shared adaptive
-    quadrature numerics.integrate, run until the summed error estimate
-    bounds each c_d by ABS_TOL; as |rho_lk| <= 1, that bounds every output
-    entry by ABS_TOL too.  rho is read from its strict upper triangle, that
-    triangle's conjugate and the real part of its diagonal, and the averages
-    are real, so the output is exactly Hermitian.  The kick distribution has
-    standard deviation lam*sqrt(2), so the window spans 8 of those sigmas,
-    leaving truncated Gaussian mass below 1e-14 (a [-8 lam, 8 lam] window
-    would lose 1.5e-8 of the trace).  Raises AccuracyError when the panel
-    budget cannot reach ABS_TOL.  Serves as the independent oracle for the
-    entrywise phase_diffusion map.
+    quadrature numerics.integrate at rel_tol=ABS_TOL, so its error estimate
+    ends at most ABS_TOL times the largest |c_d|: c_0, the Gaussian's mass
+    inside the window, positive and at most 1.  So each c_d is within
+    ABS_TOL, and as |rho_lk| <= 1 so is every output entry.  rho is read from
+    its strict upper triangle, that triangle's conjugate and the real part of
+    its diagonal, and the averages are real, so the output is exactly
+    Hermitian.  The kick distribution has standard deviation lam*sqrt(2), so
+    the window spans 8 of those sigmas, leaving truncated Gaussian mass below
+    1e-14 (a [-8 lam, 8 lam] window would lose 1.5e-8 of the trace).  Raises
+    AccuracyError when the panel budget cannot reach ABS_TOL.  Serves as the
+    independent oracle for the entrywise phase_diffusion map.
     """
     check_finite_nonneg(lam, "lam")
     if lam == 0.0:
@@ -132,9 +133,7 @@ def phase_diffusion_by_quadrature(rho, lam):
         return weight[:, None] * np.cos(np.multiply.outer(phi, offsets))
 
     half_width = 8.0 * math.sqrt(2.0) * lam
-    kicks, _ = integrate(
-        integrand, -half_width, half_width, rel_tol=0.0, abs_tol=ABS_TOL
-    )
+    kicks, _ = integrate(integrand, -half_width, half_width, rel_tol=ABS_TOL)
     upper = np.triu(rho.elems, 1)
     hermitian = upper + upper.conj().T + np.diag(rho.elems.diagonal().real)
     spread = np.abs(np.subtract.outer(offsets, offsets))

@@ -14,24 +14,20 @@ the result.  A panel's finiteness check reads only its Kronrod sum: every
 Kronrod weight is positive, so one NaN or +-inf value makes the sum non-finite.
 
 A beta search repeats most of its panels, so two functools.lru_cache
-caches keep what a panel forms; neither changes a bit of any result:
-
-- _panel_nodes(a, b): the 15 abscissae of the panel [a, b], read-only,
-  for the latest 2048 panels.  Every panel of every integrate call takes
-  its nodes from it.  One beta search forms at most about 1,500 distinct
-  panels (a power-law row), so the search's later calls find all of theirs.
-- _tail_map(a, key): the pair (w, (1 - t)^2) of integrate_semi_infinite's
-  map, read-only, keyed on the start a and the float64 bytes of the
-  abscissa array t, for the latest 256 arrays.  The calls of one beta
-  search form the same tail arrays, at most about 75 (a power-law row), at
-  one start, so 256 spans about three searches.
-
-Both start empty and live as long as the process; cache_clear() empties
-either, as the benchmark does between passes, and cache_info() counts the
-hits: on the fig3 row N = 1e8, eta = 0.95, 0.875 of the node lookups and
-0.985 of the tail lookups.  Endpoints are checked before any cache is
-read: integrate, integrate_semi_infinite and maximize_scalar refuse
-non-finite ones with ValueError.
+caches of 256 entries keep what a panel forms, read-only, without changing
+a bit of any result: _panel_nodes(a, b), the 15 abscissae of every panel
+of every integrate call, and _tail_map(a, key), the pair (w, (1 - t)^2) of
+integrate_semi_infinite's map, keyed on the start a and the float64 bytes
+of the abscissa array t.  One measured rule sizes both: reuse runs from one
+mse_bound call to the next, and one call forms at most 99 panels and 75
+tail arrays (65 and 49 on fig3-lorentzian), counted from cold over every
+call of the benchmark's seed-7 items, so 256 entries hold two calls of
+either.  On the fig3 row N = 1e8, eta = 0.95, 0.872 of the node lookups
+(0.875 with 2,048 kept) and 0.985 of the tail lookups hit.  Both live as
+long as the process; cache_clear() empties either, as the benchmark does
+between passes, and cache_info() counts the hits.  integrate,
+integrate_semi_infinite and maximize_scalar refuse non-finite endpoints
+before any cache is read.
 """
 
 from __future__ import annotations
@@ -136,7 +132,7 @@ _WG = np.zeros(15)
 _WG[1:14:2] = list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 
 
-@functools.lru_cache(maxsize=2048)
+@functools.lru_cache(maxsize=256)
 def _panel_nodes(a, b):
     """The 15 abscissae of the panel [a, b], read-only.
 
@@ -186,7 +182,7 @@ def _fsum_rows(values):
     return np.array([math.fsum(col.tolist()) for col in np.array(list(values)).T])
 
 
-def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0):
+def integrate(f, a, b, rel_tol=1e-8):
     """Globally adaptive Gauss-Kronrod quadrature of f over [a, b].
 
     Parameters
@@ -199,14 +195,13 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0):
         write into them.
     a, b : float
         Finite endpoints with a < b; anything else raises ValueError.
-    rel_tol, abs_tol : float
-        Subdivision stops once the summed panel error estimate drops below
-        max(abs_tol, rel_tol*|value|).  Both must be nonnegative and one of
-        them positive: anything else raises ValueError, where it would only
-        spend the whole MAX_PANELS budget; reaching that budget raises
-        AccuracyError carrying the best estimate so far.  For a vector
-        integral each panel's error estimate is its largest entry of
-        |Kronrod - Gauss| and |value| is the largest entry of |value|.
+    rel_tol : float
+        Positive, or ValueError (NaN included).  Subdivision stops once the
+        summed panel error estimate is at most rel_tol times |value|, for a
+        vector the largest entry of |value|, each panel's estimate being its
+        largest entry of |Kronrod - Gauss|.  An integral of exactly 0 cannot
+        meet it; no caller has one.  Past MAX_PANELS panels AccuracyError
+        carries the best estimate so far.
 
     Returns
     -------
@@ -218,8 +213,8 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0):
     a, b = float(a), float(b)
     if not -math.inf < a < b < math.inf:  # NaN fails too
         raise ValueError("integrate requires finite endpoints a < b")
-    if not (rel_tol >= 0.0 and abs_tol >= 0.0 and max(rel_tol, abs_tol) > 0.0):
-        raise ValueError("integrate requires rel_tol, abs_tol >= 0, not both 0")
+    if not rel_tol > 0.0:  # NaN fails too
+        raise ValueError("integrate requires rel_tol > 0")
 
     val, err = _gk15_panel(f, a, b)
     if isinstance(val, float):
@@ -230,7 +225,7 @@ def integrate(f, a, b, rel_tol=1e-8, abs_tol=0.0):
     heap = [(-err, 0, a, b, val, err)]
     count = 1
     total_val, total_err = val, err
-    while total_err > max(abs_tol, rel_tol * size(total_val)):
+    while total_err > rel_tol * size(total_val):
         if count >= MAX_PANELS:
             raise AccuracyError(
                 f"quadrature did not converge within {MAX_PANELS} panels "
@@ -282,7 +277,7 @@ def integrate_semi_infinite(f, a, rel_tol=1e-8):
     integral to be proper.  f must return one value per abscissa, and must
     not write into the read-only abscissae it gets; a vector integrand is
     rejected with ValueError.  Returns the value of integrate on t in [0, 1]
-    with abs_tol 0, within its MAX_PANELS budget; accuracy failures raise
+    at rel_tol, within its MAX_PANELS budget; accuracy failures raise
     AccuracyError from that rule.
     """
     a = float(a)

@@ -17,7 +17,7 @@ from .fock_core import (
     MAX_PRODUCT_DIM,
     TAIL_MASS,
     TruncationError,
-    _check_dim,
+    check_dim,
     squeezed_dim,
     squeezed_vacuum,
     thermal_dim,
@@ -177,7 +177,7 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     check_finite_nonneg(lam, "lam")
     for size in (dim, bath_dim):
         if size is not None:
-            _check_dim(size)
+            check_dim(size)
     rule = oracle_dim(r, n_T)
     dim = rule if dim is None else dim
     bath_dim = dim if bath_dim is None else bath_dim

@@ -268,13 +268,10 @@ def mse_bound(prior, model, params, rel_tol=1e-10):
     semi-infinite map.
 
     Only weight^2 = (eta + beta(1-eta))^2 and the flat term depend on beta.
-    info_deficit and sigma_tilde come from _spectra(prior, model), an
-    lru_cache of the latest 256 abscissa arrays keyed on their float64
-    bytes, kept for the latest (prior, model) until _spectra.cache_clear():
-    a call evaluates at most about 100 arrays, most of them memoized by the
-    call before it.  The integrand forms weight^2 * sigma + flat + deficit
-    with the same operations whether its terms are fresh or memoized, so
-    the value is bit-identical either way.
+    info_deficit and sigma_tilde come from the cache _spectra(prior, model)
+    of the module notes.  The integrand forms weight^2 * sigma + flat +
+    deficit with the same operations whether its terms are fresh or
+    memoized, so the value is bit-identical either way.
     """
     spectra, split = _spectra(prior, model), _loss_split(model, params)
     integrand = _mse_integrand(spectra, *split)

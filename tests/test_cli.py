@@ -243,6 +243,14 @@ def test_oracle_sizes_that_clip_or_exceed_the_cap_exit_3(argv, capsys):
     assert "the truncation rule sizes both registers at" in err
 
 
+def test_oracle_bath_beyond_the_cap_is_one_short_line(capsys):
+    # exited 3 with a 1,006-byte message printing two 300-digit register sizes
+    code, out, err = _run(capsys, "oracle", "r=0.3", "nT=1e300")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -102,6 +102,15 @@ def test_thermal_dim_is_minimal():
         assert abs(np.trace(reference.thermal(n_T, d - 1)) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("n_T", [222.0, 1e300, 1.7e308])
+def test_thermal_dim_refuses_a_bath_beyond_the_product_cap(n_T):
+    # 222 returned 4,099 and 1e300 a 302-digit size; 1.7e308 raised a bare
+    # OverflowError
+    with pytest.raises(TruncationError, match="needs more than 4096 levels"):
+        thermal_dim(n_T)
+    assert thermal_dim(221.0) == 4081
+
+
 def test_beam_splitter_unitary_and_identity():
     u = _mixer_matrix(0.0, 4, 5)
     assert np.max(np.abs(u - np.eye(20))) < 1e-14
@@ -223,6 +232,16 @@ def test_sector_table_does_not_depend_on_build_history():
     table(-2.2)
     warm = table(0.7)
     assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_beam_splitter_refuses_a_non_finite_theta_before_any_lookup(theta):
+    # nan returned NaN amplitudes and inf only warned; either left a table
+    # keyed on it in _sectors
+    fock_core._sectors.cache_clear()
+    with pytest.raises(ValueError, match="theta must be finite"):
+        beam_splitter_apply(theta, np.ones(9), 3, 3)
+    assert fock_core._sectors.cache_info().currsize == 0
 
 
 def test_beam_splitter_product_cap():

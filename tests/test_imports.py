@@ -168,7 +168,7 @@ def test_private_names_cross_modules_only_where_listed():
     # spectral memo once did through numerics
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
     found = sorted(name for stem, tree in trees.items() for name in _private_imports(stem, tree))
-    assert found == ["channels: fock_core._check_dim", "qfi_oracle: fock_core._check_dim"]
+    assert found == []
 
 
 # each defaulted parameter of the library's public callables (a class's
@@ -181,7 +181,6 @@ _LIBRARY_KNOBS = [
     "numerics.OptimizationError:best_x=None",
     "numerics.OptimizationError:best_value=nan",
     "numerics.integrate:rel_tol=1e-08",
-    "numerics.integrate:abs_tol=0.0",
     "numerics.integrate_semi_infinite:rel_tol=1e-08",
     "numerics.loglog_slope:window=None",
     "qfi_oracle.squeezed_probe_qfi:n_T=0.0",
@@ -210,4 +209,4 @@ def test_library_knobs_are_pinned():
                 if param.default is not inspect.Parameter.empty:
                     knobs.append("%s.%s:%s=%r" % (path.stem, name, param.name, param.default))
     assert knobs == _LIBRARY_KNOBS
-    assert len(knobs) == 17
+    assert len(knobs) == 16

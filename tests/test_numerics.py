@@ -198,20 +198,16 @@ def test_semi_infinite_rejects_a_start_not_finite(a):
     assert numerics._tail_map.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize(
-    "rel_tol, abs_tol",
-    [(math.nan, 0.0), (1e-8, math.nan), (-1e-8, 0.0), (1e-8, -1.0), (0.0, 0.0)],
-)
-def test_integrate_rejects_tolerances_it_cannot_meet(rel_tol, abs_tol):
+@pytest.mark.parametrize("rel_tol", [math.nan, -1e-8, 0.0])
+def test_integrate_rejects_tolerances_it_cannot_meet(rel_tol):
     # misuse, refused before the first panel rather than after the whole budget
     def never(x):
         raise AssertionError("integrand called")
 
-    with pytest.raises(ValueError, match="rel_tol, abs_tol"):
-        integrate(never, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol)
-    if abs_tol == 0.0:
-        with pytest.raises(ValueError, match="rel_tol, abs_tol"):
-            integrate_semi_infinite(never, 0.0, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol > 0"):
+        integrate(never, 0.0, 1.0, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol > 0"):
+        integrate_semi_infinite(never, 0.0, rel_tol=rel_tol)
 
 
 def test_integrate_accuracy_error_carries_best(monkeypatch):

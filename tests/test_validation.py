@@ -27,6 +27,7 @@ from varqfi.channels import (
 )
 from varqfi.fock_core import (
     InputMoments,
+    beam_splitter_apply,
     squeezed_dim,
     squeezed_vacuum,
     thermal_dim,
@@ -81,6 +82,7 @@ ENTRY_POINTS = [
     ("squeezed_dim:r", "finite", lambda x: squeezed_dim(x)),
     ("squeezed_vacuum:r", "finite", lambda x: squeezed_vacuum(x, 12)),
     ("thermal_dim:n_T", "finite", lambda x: thermal_dim(x)),
+    ("beam_splitter_apply:theta", "real", lambda x: beam_splitter_apply(x, np.ones(9), 3, 3)),
     ("InputMoments:mean_n", "nonneg", lambda x: InputMoments(x, 1.0)),
     ("InputMoments:var_n", "nonneg", lambda x: InputMoments(1.0, x)),
     ("oracle:r", "finite", lambda x: squeezed_probe_qfi(x, 0.8)),

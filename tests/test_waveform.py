@@ -319,44 +319,38 @@ def _spectra_of_bound(cap):
     return spectra
 
 
+def _lru_in_place_of(patch, name, cap, prior, model):
+    """Patch an LRU of cap entries around the function behind the beta-search cache name."""
+    if name == "terms":
+        spectra = _spectra_of_bound(cap)
+        patch.setattr(waveform, "_spectra", spectra)
+        return spectra(prior, model)
+    cache = functools.lru_cache(maxsize=cap)(getattr(numerics, name).__wrapped__)
+    patch.setattr(numerics, name, cache)
+    return cache
+
+
 @pytest.mark.parametrize("cap", [1, 7, 10_000])
 def test_memo_never_holds_more_than_its_cap(cap):
-    # an LRU of any bound gives the bits of the function behind the cache
+    # for each beta-search cache, an LRU of any bound gives the bits of the
+    # function behind it, and fills to min(cap, the keys the calls form)
     prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
     params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
-    waveform._spectra.cache_clear()
+    _clear_caches()
     want = [mse_bound(prior, model, q) for q in params]
-    uncapped = waveform._spectra(prior, model).cache_info().currsize
-    spectra = _spectra_of_bound(cap)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(waveform, "_spectra", spectra)
-        got = []
-        for q in params:
-            got.append(mse_bound(prior, model, q))
-            assert spectra(prior, model).cache_info().currsize <= cap
-    assert spectra(prior, model).cache_info().currsize == min(cap, uncapped)
-    assert got == want
-    waveform._spectra.cache_clear()
-
-
-@pytest.mark.parametrize("cap", [1, 7, 10_000])
-def test_tail_memo_never_holds_more_than_its_cap(cap):
-    prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
-    params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
-    numerics._tail_map.cache_clear()
-    want = [mse_bound(prior, model, q) for q in params]
-    uncapped = numerics._tail_map.cache_info().currsize
-    assert uncapped > 7
-    tail_map = functools.lru_cache(maxsize=cap)(numerics._tail_map.__wrapped__)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_tail_map", tail_map)
-        got = []
-        for q in params:
-            got.append(mse_bound(prior, model, q))
-            assert tail_map.cache_info().currsize <= cap
-    assert tail_map.cache_info().currsize == min(cap, uncapped)
-    assert got == want
-    numerics._tail_map.cache_clear()
+    for name in ("terms", "_tail_map", "_panel_nodes"):
+        with pytest.MonkeyPatch.context() as patch:
+            every = _lru_in_place_of(patch, name, None, prior, model)
+            assert [mse_bound(prior, model, q) for q in params] == want, name
+        keys = every.cache_info().currsize
+        assert keys > 7, name
+        with pytest.MonkeyPatch.context() as patch:
+            cache = _lru_in_place_of(patch, name, cap, prior, model)
+            for q, value in zip(params, want):
+                assert mse_bound(prior, model, q) == value, name
+                assert cache.cache_info().currsize <= cap, name
+        assert cache.cache_info().currsize == min(cap, keys), name
+    _clear_caches()
 
 
 def _fig3_row(flux):
@@ -370,12 +364,13 @@ def _fig3_row(flux):
 def test_memo_of_a_beta_search_stays_below_its_cap():
     # the fig3 grid's largest flux, lossy: 66 mse_bound calls share each
     # cache.  A call finds what the call before it formed only if one call's
-    # arrays fit in each LRU; the node and tail caches hold the whole search
+    # keys fit in each LRU; the tail cache holds the whole search, and the
+    # node and spectral caches fill their bounds (543 panels, 558 arrays)
     model, spectra = _fig3_row(1e8)
-    for cache in (numerics._tail_map, numerics._panel_nodes):
-        info = cache.cache_info()
-        assert 0 < info.currsize < info.maxsize
-    assert spectra.cache_info().currsize == spectra.cache_info().maxsize
+    info = numerics._tail_map.cache_info()
+    assert 0 < info.currsize < info.maxsize
+    for cache in (numerics._panel_nodes, spectra):
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
     _clear_caches()
     mse_bound(PriorSpectrum(1.0, 2.0, 1.0), model, SpectralCqParams(0.95, -3.0), rel_tol=1e-8)
     spectra = waveform._spectra(PriorSpectrum(1.0, 2.0, 1.0), model)
@@ -390,7 +385,7 @@ def _hit_share(cache):
 
 
 def test_each_cache_pays_on_a_beta_search():
-    # measured on this row: nodes 0.875, spectral terms 0.873, tail 0.985; a
+    # measured on this row: nodes 0.872, spectral terms 0.873, tail 0.985; a
     # key that includes beta, or a bound below one call's arrays (67 spectral,
     # 49 tail, 65 nodes here), drops a share far below its floor
     _, spectra = _fig3_row(1e8)
