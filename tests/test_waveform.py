@@ -330,27 +330,40 @@ def _lru_in_place_of(patch, name, cap, prior, model):
     return cache
 
 
-@pytest.mark.parametrize("cap", [1, 7, 10_000])
-def test_memo_never_holds_more_than_its_cap(cap):
-    # for each beta-search cache, an LRU of any bound gives the bits of the
-    # function behind it, and fills to min(cap, the keys the calls form)
+def _assert_memo_holds_at_most(name, cap):
+    # an LRU of any bound around the function behind the beta-search cache
+    # name gives its bits, and fills to min(cap, the keys the calls form)
     prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
     params = [SpectralCqParams(0.95, beta) for beta in (-3.0, -1.0, 0.5)]
     _clear_caches()
     want = [mse_bound(prior, model, q) for q in params]
-    for name in ("terms", "_tail_map", "_panel_nodes"):
-        with pytest.MonkeyPatch.context() as patch:
-            every = _lru_in_place_of(patch, name, None, prior, model)
-            assert [mse_bound(prior, model, q) for q in params] == want, name
-        keys = every.cache_info().currsize
-        assert keys > 7, name
-        with pytest.MonkeyPatch.context() as patch:
-            cache = _lru_in_place_of(patch, name, cap, prior, model)
-            for q, value in zip(params, want):
-                assert mse_bound(prior, model, q) == value, name
-                assert cache.cache_info().currsize <= cap, name
-        assert cache.cache_info().currsize == min(cap, keys), name
+    with pytest.MonkeyPatch.context() as patch:
+        every = _lru_in_place_of(patch, name, None, prior, model)
+        assert [mse_bound(prior, model, q) for q in params] == want
+    keys = every.cache_info().currsize
+    assert keys > 7
+    with pytest.MonkeyPatch.context() as patch:
+        cache = _lru_in_place_of(patch, name, cap, prior, model)
+        for q, value in zip(params, want):
+            assert mse_bound(prior, model, q) == value
+            assert cache.cache_info().currsize <= cap
+    assert cache.cache_info().currsize == min(cap, keys)
     _clear_caches()
+
+
+@pytest.mark.parametrize("cap", [1, 7, 10_000])
+def test_memo_never_holds_more_than_its_cap(cap):
+    _assert_memo_holds_at_most("terms", cap)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 10_000])
+def test_tail_memo_never_holds_more_than_its_cap(cap):
+    _assert_memo_holds_at_most("_tail_map", cap)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 10_000])
+def test_panel_node_memo_never_holds_more_than_its_cap(cap):
+    _assert_memo_holds_at_most("_panel_nodes", cap)
 
 
 def _fig3_row(flux):
