@@ -50,13 +50,17 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
     The bath starts thermal with mean n_T on bath_dim levels, the two modes
     are mixed by the beam splitter at theta = arccos(sqrt(eta)), and the
     bath is traced out.  The thermal bath is diagonal in the number basis,
-    so the joint input is a mixture of pure vectors |psi>|k>; each is pushed
-    through the beam splitter sector by sector and contributes one rank-one
-    term to the output.  Cost scales with the joint vector length instead
-    of its square.  bath_dim must at least satisfy the thermal truncation
-    rule; callers that push many probe photons into the bath should size it
-    with the extra receive capacity on top of that floor; below it is a
-    TruncationError, and below 2 levels a ValueError.
+    so the joint input is a mixture of pure vectors |psi>|k> with weights
+    w_k.  Each populated bath level gives one column sqrt(w_k) |psi>|k>,
+    real where psi is, and one beam_splitter_apply call mixes all columns.
+    Read as a dim x (bath_dim * columns) matrix X, whose rows are probe
+    levels, the mixed columns give the output as the one Gram product
+    X X^dag: the bath trace and the sum over k are its inner index.  Cost
+    scales with the joint vector length instead of its square.  bath_dim
+    must at least satisfy the thermal truncation rule; callers that push
+    many probe photons into the bath should size it with the extra receive
+    capacity on top of that floor; below it is a TruncationError, and
+    below 2 levels a ValueError.
     """
     check_eta(eta)
     check_dim(bath_dim)
@@ -74,15 +78,15 @@ def lossy_thermal_channel_pure(psi, eta, n_T, bath_dim):
     weights = q ** np.arange(bath_dim, dtype=float)
     weights = weights / weights.sum()
     dim = psi.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for k, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        joint = np.zeros(dim * bath_dim, dtype=complex)
-        joint[np.arange(dim) * bath_dim + k] = psi.amps
-        mixed = beam_splitter_apply(theta, joint, dim, bath_dim).reshape(dim, bath_dim)
-        out += w * (mixed @ mixed.conj().T)
-    return DensityMatrix(dim, out)
+    amps = psi.amps if psi.amps.imag.any() else psi.amps.real
+    (levels,) = np.nonzero(weights)
+    # column j holds sqrt(w_k) |psi>|k> for k = levels[j], at joint rows n * bath_dim + k
+    cols = np.zeros((dim * bath_dim, levels.size), dtype=amps.dtype)
+    rows = np.add.outer(np.arange(dim) * bath_dim, levels)
+    cols[rows, np.arange(levels.size)] = np.multiply.outer(amps, np.sqrt(weights[levels]))
+    mixed = beam_splitter_apply(theta, cols, dim, bath_dim).reshape(dim, -1)
+    del cols  # not held while a complex Gram product copies mixed
+    return DensityMatrix(dim, mixed @ mixed.conj().T)
 
 
 def phase_diffusion(rho, lam):

@@ -2,7 +2,8 @@
 
 Single- and two-mode plumbing for the oracle: squeezed vacuum states, the
 thermal truncation rule, photon-number moments, and the beam splitter
-applied to a joint pure-state vector.  Dense numpy throughout; the two-mode
+applied to a joint pure-state vector or to a matrix whose columns are joint
+vectors, all mixed in one pass.  Dense numpy throughout; the two-mode
 product dimension is capped at 4096, so no sector block exceeds 64 x 64.
 The beam splitter acts per photon-number sector; each sector block is
 built on first use from an eigenbasis cached per sector shape and shared
@@ -91,9 +92,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         check_dim(self.dim)
-        elems = np.asarray(self.elems, dtype=complex)
+        elems = np.array(self.elems, dtype=complex)
         if elems.shape != (self.dim, self.dim):
             raise ValueError("elems must be a dim x dim matrix")
+        elems.setflags(write=False)
+        object.__setattr__(self, "elems", elems)
         # each test is written so that a NaN fails it
         herm_defect = float(np.max(np.abs(elems - elems.conj().T)))
         if not herm_defect <= 1e-10:
@@ -101,12 +104,28 @@ class DensityMatrix:
         tr = complex(np.trace(elems))
         if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond 1e-8")
-        low = float(np.linalg.eigvalsh(elems).min())
+        low = min(float(np.linalg.eigvalsh(block).min()) for _, block in self.blocks)
         if not low >= -1e-8:
             raise ValueError(f"negative eigenvalue {low:.3e} beyond -1e-8")
-        elems = elems.copy()
-        elems.setflags(write=False)
-        object.__setattr__(self, "elems", elems)
+
+    @functools.cached_property
+    def blocks(self):
+        """(levels, block) pairs of the diagonal blocks the matrix splits into.
+
+        The even levels and the odd levels when every entry between the
+        two is exactly zero, as in any state of an even probe under
+        phase-covariant noise; otherwise all levels, one block.  Each
+        block is a read-only view of elems[levels][:, levels], of its real
+        part when the imaginary part of elems is exactly zero.  The
+        spectrum is the union of the blocks' spectra, so each can be
+        decomposed on its own, and in real arithmetic where it is real.
+        Found once per matrix, by the positivity check.
+        """
+        elems = self.elems if self.elems.imag.any() else self.elems.real
+        levels = np.arange(self.dim)
+        if elems[0::2, 1::2].any() or elems[1::2, 0::2].any():
+            return ((levels, elems),)
+        return tuple((levels[p::2], elems[p::2, p::2]) for p in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -247,20 +266,26 @@ class _Sectors(dict):
         return idx, block
 
 
-# the latest table only: the benchmark's oracle items use each of their 52 tables
-# in one run (972 hits, 52 misses at 1 slot or 32); a fig2 oracle column uses one
+# the latest table only: the benchmark's seed-7 oracle items make one call each and
+# use each of their 52 tables in one run (98 hits, 52 misses from 150 calls at 1
+# slot or 32); a fig2 oracle column uses one
 _sectors = functools.lru_cache(maxsize=1)(_Sectors)
 
 
 def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
-    """Apply the two-mode mixer to a joint pure-state vector.
+    """Apply the two-mode mixer to a joint pure-state vector, or to columns of them.
 
     The mixer is exp(theta (a b^dag - a^dag b)) on the dim_a*dim_b product
     space, applied sector by sector without materializing the full matrix.
-    Only the sectors the input populates (the totals n + m of its nonzero
-    entries) are built and applied; the mixer conserves n + m, so every
-    other sector of the output is exactly zero.  A non-finite theta raises
-    ValueError before any block is looked up.
+    joint_vec is one joint vector of length dim_a*dim_b, or a
+    (dim_a*dim_b, m) matrix of m such columns, mixed together: each sector
+    block multiplies the rows of all columns at once.  Only the sectors
+    the input populates (the totals n + m of its nonzero rows) are built
+    and applied; the mixer conserves n + m, so every other sector of the
+    output is exactly zero.  The blocks are real, so a real input gives a
+    real output, in float even for an integer input.  A non-finite theta
+    raises ValueError before any block is looked up, and any other shape
+    of joint_vec raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -271,11 +296,13 @@ def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
             f"product dimension {dim_a * dim_b} exceeds the cap {MAX_PRODUCT_DIM}"
         )
     vec = np.asarray(joint_vec)
-    if vec.shape != (dim_a * dim_b,):
-        raise ValueError("joint_vec must have length dim_a * dim_b")
+    if vec.ndim not in (1, 2) or vec.shape[0] != dim_a * dim_b:
+        raise ValueError(
+            "joint_vec must have length dim_a * dim_b, or be a matrix of such columns"
+        )
     sectors = _sectors(float(theta), int(dim_a), int(dim_b))
-    flat = np.flatnonzero(vec)
-    out = np.zeros_like(vec)
+    flat = np.flatnonzero(vec.reshape(vec.shape[0], -1).any(axis=1))
+    out = np.zeros(vec.shape, np.result_type(vec, float))
     for total in np.unique(flat // dim_b + flat % dim_b).tolist():
         idx, block = sectors[total]
         out[idx] = block @ vec[idx]

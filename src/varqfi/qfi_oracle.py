@@ -16,6 +16,7 @@ from .channels import lossy_thermal_channel_pure, phase_diffusion
 from .fock_core import (
     MAX_PRODUCT_DIM,
     TAIL_MASS,
+    FockVector,
     TruncationError,
     check_dim,
     squeezed_dim,
@@ -28,6 +29,7 @@ __all__ = [
     "qfi_phase_covariant",
     "minimize_raw_cq",
     "oracle_dim",
+    "probe_qfi",
     "squeezed_probe_qfi",
 ]
 
@@ -45,14 +47,27 @@ def qfi_phase_covariant(rho):
     whose combined weight exceeds SUPPORT_CUTOFF times the top eigenvalue.
     rho is a DensityMatrix, whose construction already rejects a spectrum
     below -1e-8.
+
+    Two reductions are read from the data and change no term of the sum.
+    The factor -i only multiplies every <e_i| drho |e_j> by one phase, so
+    |m_ij| is taken from m = V^dag ((l - k) o rho) V, which is real with V
+    when rho is real: a real rho is decomposed by a real symmetric eigh.
+    When rho has no entry between even and odd levels, neither has
+    (l - k) o rho, so every m_ij between an even-block and an odd-block
+    eigenvector is exactly zero: each block of rho.blocks is decomposed
+    on its own and only its own pairs are summed, under the one cutoff set
+    by the top eigenvalue of all blocks.  Where neither reduction applies,
+    rho is one complex block: the full complex eigh, as without them.
     """
-    w, vecs = np.linalg.eigh(rho.elems)
-    levels = np.arange(rho.dim)
-    drho = -1j * np.subtract.outer(levels, levels) * rho.elems
-    m = vecs.conj().T @ drho @ vecs
-    pair_sums = np.add.outer(w, w)
-    mask = pair_sums > SUPPORT_CUTOFF * float(w.max())
-    return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / pair_sums[mask]))
+    spectra = [np.linalg.eigh(block) for _, block in rho.blocks]
+    floor = SUPPORT_CUTOFF * max(float(w[-1]) for w, _ in spectra)  # eigh sorts ascending
+    total = 0.0
+    for (levels, block), (w, vecs) in zip(rho.blocks, spectra):
+        m = vecs.conj().T @ (np.subtract.outer(levels, levels) * block) @ vecs
+        pair_sums = np.add.outer(w, w)
+        mask = pair_sums > floor
+        total += float(np.sum(np.abs(m[mask]) ** 2 / pair_sums[mask]))
+    return 2.0 * total
 
 
 def _fd_stencil(f, x, f0):
@@ -157,6 +172,56 @@ def _dropped_mass(psi, n_T, bath_dim):
     return q**bath_dim + float(clipped.sum())
 
 
+def _refuse_over_cap(dim, bath_dim, rule):
+    """TruncationError, before anything is built, if the registers pass the cap."""
+    if dim * bath_dim > MAX_PRODUCT_DIM:
+        raise TruncationError(
+            f"dim*bath_dim={dim * bath_dim} exceeds the cap {MAX_PRODUCT_DIM} "
+            f"(the truncation rule sizes both registers at {rule})",
+            suggested_dim=rule,
+        )
+
+
+def _noisy_qfi(psi, eta, n_T, lam, bath_dim, rule):
+    """QFI of psi after loss into a bath_dim-level bath, then diffusion.
+
+    Refuses registers that drop more than TAIL_MASS of the probability
+    (_dropped_mass) with a TruncationError suggesting rule, the size the
+    truncation rule gives both registers.
+    """
+    dropped = _dropped_mass(psi, n_T, bath_dim)
+    if dropped > TAIL_MASS:
+        raise TruncationError(
+            f"dim={psi.dim}, bath_dim={bath_dim} drop probability {dropped:.3e} to the "
+            f"bath tail and clipped sectors, above {TAIL_MASS:g} (the truncation "
+            f"rule sizes both registers at {rule})",
+            suggested_dim=rule,
+        )
+    rho = lossy_thermal_channel_pure(psi, eta, n_T, bath_dim)
+    if lam != 0.0:
+        rho = phase_diffusion(rho, lam)
+    return qfi_phase_covariant(rho)
+
+
+def probe_qfi(psi, eta, n_T, lam):
+    """Oracle QFI of any pure probe psi (a FockVector) after loss and diffusion.
+
+    Both registers get psi.dim + thermal_dim(n_T) - 1 levels, psi padded
+    with zeros, so the beam splitter can move every photon between probe
+    and bath.  An eta outside (0, 1] or an n_T or lam not finite and
+    nonnegative is misuse (ValueError).  Sizes whose product exceeds
+    MAX_PRODUCT_DIM, checked before anything is built, or that drop more
+    than TAIL_MASS of the probability raise TruncationError.
+    """
+    check_eta(eta)
+    check_finite_nonneg(n_T, "n_T")
+    check_finite_nonneg(lam, "lam")
+    size = psi.dim + thermal_dim(n_T) - 1
+    _refuse_over_cap(size, size, size)
+    padded = FockVector(size, np.concatenate([psi.amps, np.zeros(size - psi.dim)]))
+    return _noisy_qfi(padded, eta, n_T, lam, size, size)
+
+
 def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     """Oracle QFI of a squeezed vacuum after loss and phase diffusion.
 
@@ -181,22 +246,5 @@ def squeezed_probe_qfi(r, eta, n_T=0.0, lam=0.0, dim=None, bath_dim=None):
     rule = oracle_dim(r, n_T)
     dim = rule if dim is None else dim
     bath_dim = dim if bath_dim is None else bath_dim
-    if dim * bath_dim > MAX_PRODUCT_DIM:
-        raise TruncationError(
-            f"dim*bath_dim={dim * bath_dim} exceeds the cap {MAX_PRODUCT_DIM} "
-            f"(the truncation rule sizes both registers at {rule})",
-            suggested_dim=rule,
-        )
-    psi = squeezed_vacuum(r, dim)
-    dropped = _dropped_mass(psi, n_T, bath_dim)
-    if dropped > TAIL_MASS:
-        raise TruncationError(
-            f"dim={dim}, bath_dim={bath_dim} drop probability {dropped:.3e} to the "
-            f"bath tail and clipped sectors, above {TAIL_MASS:g} (the truncation "
-            f"rule sizes both registers at {rule})",
-            suggested_dim=rule,
-        )
-    rho = lossy_thermal_channel_pure(psi, eta, n_T, bath_dim)
-    if lam != 0.0:
-        rho = phase_diffusion(rho, lam)
-    return qfi_phase_covariant(rho)
+    _refuse_over_cap(dim, bath_dim, rule)
+    return _noisy_qfi(squeezed_vacuum(r, dim), eta, n_T, lam, bath_dim, rule)

@@ -9,10 +9,13 @@ is run from the file's source text.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from varqfi import fock_core, numerics, qfi_oracle, waveform
@@ -64,6 +67,20 @@ def test_workload_imports_exist(module, name):
 @pytest.mark.parametrize("module, attr", REBINDS, ids=["%s.%s" % p for p in REBINDS])
 def test_tracer_rebinds_exist(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_tracer_reads_the_arguments_it_expects():
+    # the tracer reads some arguments by position: _block_key keys a
+    # beam-splitter call on args[0], args[2] and args[3], and the
+    # DensityMatrix span's argument is the instance's .dim; a changed
+    # signature would break only a traced benchmark run
+    params = list(inspect.signature(fock_core.beam_splitter_apply).parameters)
+    assert params[:4] == ["theta", "joint_vec", "dim_a", "dim_b"]
+    assert "dim" in [field.name for field in dataclasses.fields(fock_core.DensityMatrix)]
+    assert fock_core.DensityMatrix(2, np.eye(2) / 2.0).dim == 2
+    source = (BENCH / "tracer.py").read_text()
+    assert "key = (args[0], args[2], args[3])" in source
+    assert "arg_of=lambda args: args[0].dim" in source
 
 
 def test_bench_reset_empties_the_spectral_memo():

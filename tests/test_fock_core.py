@@ -56,6 +56,44 @@ def test_density_matrix_validation():
         DensityMatrix(3, np.eye(2))  # wrong shape
 
 
+def _parity_split_matrix(spectra, real, rng):
+    """Unit-trace Hermitian matrix, zero between even and odd levels exactly.
+
+    spectra[0] is the even block's spectrum and spectra[1] the odd block's,
+    each turned by a random real orthogonal or complex unitary matrix.
+    """
+    dim = len(spectra[0]) + len(spectra[1])
+    elems = np.zeros((dim, dim), dtype=float if real else complex)
+    for parity, spectrum in enumerate(spectra):
+        idx = np.arange(parity, dim, 2)
+        a = rng.standard_normal((idx.size, idx.size))
+        if not real:
+            a = a + 1j * rng.standard_normal((idx.size, idx.size))
+        u = np.linalg.qr(a)[0]
+        block = (u * np.asarray(spectrum)) @ u.conj().T
+        elems[np.ix_(idx, idx)] = (block + block.conj().T) / 2.0
+    return elems
+
+
+@pytest.mark.parametrize("negative_block", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_density_matrix_rejects_a_negative_eigenvalue_in_either_parity_block(
+    negative_block, real
+):
+    # the even and odd blocks are decomposed apart, in real arithmetic where
+    # they are real; either block's one negative eigenvalue must be found
+    rng = np.random.default_rng(11)
+    spectra = [[0.25, 0.125, 0.125, 0.0], [0.25, 0.25, 0.0]]
+    rho = DensityMatrix(7, _parity_split_matrix(spectra, real, rng))
+    blocks = rho.blocks
+    assert [idx.tolist() for idx, _ in blocks] == [[0, 2, 4, 6], [1, 3, 5]]
+    assert all(np.isrealobj(block) == real for _, block in blocks)
+    spectra[negative_block][-1] = -1e-6
+    spectra[negative_block][0] += 1e-6
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-06"):
+        DensityMatrix(7, _parity_split_matrix(spectra, real, rng))
+
+
 def test_squeezed_vacuum_moments():
     r = 0.5
     psi = squeezed_vacuum(r, 40)
@@ -232,6 +270,44 @@ def test_sector_table_does_not_depend_on_build_history():
     table(-2.2)
     warm = table(0.7)
     assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    da=st.integers(2, 8),
+    db=st.integers(2, 8),
+    columns=st.integers(1, 6),
+    theta=st.floats(-math.pi, math.pi),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_beam_splitter_mixes_a_matrix_of_joint_columns(da, db, columns, theta, real, seed):
+    # one call on the columns is the columns of single-vector calls, and the
+    # dense mixer; a real input stays real
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((da * db, columns))
+    if not real:
+        cols = cols + 1j * rng.standard_normal((da * db, columns))
+    cols[rng.random(da * db) < 0.3] = 0.0  # some rows empty in every column
+    got = beam_splitter_apply(theta, cols, da, db)
+    assert got.shape == cols.shape and np.isrealobj(got) == real
+    singles = np.column_stack([beam_splitter_apply(theta, c, da, db) for c in cols.T])
+    assert np.max(np.abs(got - singles)) <= 1e-13
+    assert np.max(np.abs(got - reference.mixer(theta, da, db) @ cols)) <= 1e-13
+
+
+def test_beam_splitter_does_not_truncate_an_integer_input():
+    # the output once took the input's dtype, so integer amplitudes came
+    # back rounded toward zero
+    cols = np.arange(24).reshape(12, 2) % 3
+    assert np.array_equal(beam_splitter_apply(0.3, cols, 3, 4),
+                          beam_splitter_apply(0.3, cols.astype(float), 3, 4))
+
+
+@pytest.mark.parametrize("shape", [(12, 2, 1), (11, 3), (0, 3)])
+def test_beam_splitter_refuses_a_column_matrix_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match="length dim_a \\* dim_b"):
+        beam_splitter_apply(0.3, np.ones(shape), 3, 4)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])

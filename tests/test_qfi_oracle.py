@@ -36,6 +36,7 @@ from varqfi.qfi_oracle import (
     _dropped_mass,
     minimize_raw_cq,
     oracle_dim,
+    probe_qfi,
     qfi_phase_covariant,
     squeezed_probe_qfi,
 )
@@ -66,6 +67,58 @@ def test_invalid_state_rejected():
     # oracle has a spectrum below -1e-8
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(2, np.diag([1.2, -0.2]))
+
+
+def _qfi_full_complex(rho):
+    """The QFI formula with no reduction: one complex eigh of the whole matrix."""
+    w, vecs = np.linalg.eigh(np.asarray(rho.elems, dtype=complex))
+    levels = np.arange(rho.dim)
+    drho = -1j * np.subtract.outer(levels, levels) * rho.elems
+    m = vecs.conj().T @ drho @ vecs
+    pair_sums = np.add.outer(w, w)
+    mask = pair_sums > qfi_oracle.SUPPORT_CUTOFF * float(w.max())
+    return float(2.0 * np.sum(np.abs(m[mask]) ** 2 / pair_sums[mask]))
+
+
+def _random_state(rng, dim, rank, real, parity):
+    """A random density matrix A A^dag / tr with A of rank columns.
+
+    parity keeps every entry between even and odd levels exactly zero, each
+    column of A living on one parity; the complex parity class is a phase
+    shift of a real parity state, a class the oracle itself never makes.
+    """
+    a = rng.standard_normal((dim, rank))
+    if not real and not parity:
+        a = a + 1j * rng.standard_normal((dim, rank))
+    if parity:
+        odd_column = rng.random(rank) < 0.5
+        a[(np.arange(dim)[:, None] % 2 == 1) != odd_column[None, :]] = 0.0
+    h = a @ a.conj().T
+    rho = DensityMatrix(dim, h / np.trace(h).real)
+    if parity and not real:
+        rho = phase_shift(rho, float(rng.uniform(0.1, 3.0)))
+    return rho
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dim=st.integers(2, 24),
+    rank_share=st.floats(0.0, 1.0),
+    real=st.booleans(),
+    parity=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reductions_match_the_full_complex_formula(dim, rank_share, real, parity, seed):
+    # every class takes its own path: real or complex blocks, split or whole
+    rng = np.random.default_rng(seed)
+    rank = 1 + round(rank_share * (dim - 1))
+    rho = _random_state(rng, dim, rank, real, parity)
+    blocks = rho.blocks
+    assume(rho.elems.imag.any() != real)  # a phase shift by a multiple of pi stays real
+    assert len(blocks) == (2 if parity else 1)
+    assert any(np.iscomplexobj(block) for _, block in blocks) != real
+    got, want = qfi_phase_covariant(rho), _qfi_full_complex(rho)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_qfi_invariant_under_phase_shift():
@@ -158,14 +211,12 @@ def test_oracle_below_variance_floor_and_exact_without_diffusion(r, eta, n_T, la
     lam=st.floats(0.0, 0.5),
 )
 def test_random_probe_obeys_the_moment_bounds(parts, eta, n_T, lam):
-    # any pure probe, not only a squeezed vacuum: both registers padded so
-    # the beam splitter clips no populated sector
+    # any pure probe, not only a squeezed vacuum; a complex one with both
+    # parities populated takes the complex, unsplit path of every step
     amps = np.array([complex(re, im) for re, im in parts])
     assume(np.linalg.norm(amps) > 1e-3)
-    size = amps.size + thermal_dim(n_T) - 1
-    psi = FockVector(size, np.concatenate([amps, np.zeros(size - amps.size)]))
-    rho = phase_diffusion(lossy_thermal_channel_pure(psi, eta, n_T, size), lam)
-    qfi = qfi_phase_covariant(rho)
+    psi = FockVector(amps.size, amps)
+    qfi = probe_qfi(psi, eta, n_T, lam)
     m = moments(psi)
     # 1e-10 relative, and the smallest normal float absolute: a var_n below
     # it has 1/var_n overflow, and the bounds round to 0
@@ -174,6 +225,31 @@ def test_random_probe_obeys_the_moment_bounds(parts, eta, n_T, lam):
     if n_T == 0.0:
         assert qfi <= cq_min_loss_diffusion(m, eta, lam) * slack + tiny  # eq21
     assert qfi <= slack / phase_variance_bound_full(m, eta, n_T, lam) + tiny  # eq22
+
+
+def test_probe_qfi_pads_both_registers_to_the_truncation_rule():
+    # the probe squeezed_probe_qfi builds, in larger registers that hold
+    # every populated sector too
+    for n_T, lam in ((0.0, 0.0), (0.5, 0.1)):
+        got = probe_qfi(squeezed_vacuum(0.5, oracle_dim(0.5, n_T)), 0.8, n_T, lam)
+        want = squeezed_probe_qfi(0.5, 0.8, n_T, lam)
+        assert abs(got - want) <= 1e-12 * want
+    psi = squeezed_vacuum(0.5, squeezed_dim(0.5))
+    size = psi.dim + thermal_dim(0.5) - 1
+    padded = FockVector(size, np.concatenate([psi.amps, np.zeros(size - psi.dim)]))
+    rho = phase_diffusion(lossy_thermal_channel_pure(padded, 0.8, 0.5, size), 0.1)
+    assert probe_qfi(psi, 0.8, 0.5, 0.1) == qfi_phase_covariant(rho)
+
+
+def test_probe_qfi_refuses_sizes_beyond_the_cap_before_building(monkeypatch):
+    # 40 probe levels and the 46 an n_T = 2 bath needs make 85 per register
+    def no_padding(*args):
+        raise AssertionError("a register was built before the cap was checked")
+
+    monkeypatch.setattr(qfi_oracle, "FockVector", no_padding)
+    psi = FockVector(40, np.ones(40))
+    with pytest.raises(TruncationError, match="dim\\*bath_dim=7225 exceeds the cap"):
+        probe_qfi(psi, 0.8, 2.0, 0.0)
 
 
 def test_automatic_sizes_clip_no_populated_sector():

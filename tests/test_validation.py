@@ -33,7 +33,7 @@ from varqfi.fock_core import (
     thermal_dim,
 )
 from varqfi.numerics import integrate, integrate_semi_infinite, maximize_scalar
-from varqfi.qfi_oracle import squeezed_probe_qfi
+from varqfi.qfi_oracle import probe_qfi, squeezed_probe_qfi
 from varqfi.waveform import (
     OpoSpectrumModel,
     PriorSpectrum,
@@ -83,12 +83,17 @@ ENTRY_POINTS = [
     ("squeezed_vacuum:r", "finite", lambda x: squeezed_vacuum(x, 12)),
     ("thermal_dim:n_T", "finite", lambda x: thermal_dim(x)),
     ("beam_splitter_apply:theta", "real", lambda x: beam_splitter_apply(x, np.ones(9), 3, 3)),
+    ("beam_splitter_apply:joint_vec", "joint_shape",
+     lambda x: beam_splitter_apply(0.3, np.ones(x), 3, 3)),
     ("InputMoments:mean_n", "nonneg", lambda x: InputMoments(x, 1.0)),
     ("InputMoments:var_n", "nonneg", lambda x: InputMoments(1.0, x)),
     ("oracle:r", "finite", lambda x: squeezed_probe_qfi(x, 0.8)),
     ("oracle:eta", "eta", lambda x: squeezed_probe_qfi(0.3, x)),
     ("oracle:n_T", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, x)),
     ("oracle:lam", "finite", lambda x: squeezed_probe_qfi(0.3, 0.8, 0.0, x)),
+    ("probe_qfi:eta", "eta", lambda x: probe_qfi(PSI, x, 0.0, 0.0)),
+    ("probe_qfi:n_T", "finite", lambda x: probe_qfi(PSI, 0.8, x, 0.0)),
+    ("probe_qfi:lam", "finite", lambda x: probe_qfi(PSI, 0.8, 0.0, x)),
     ("oracle:dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, dim=x)),
     ("oracle:bath_dim", "dim", lambda x: squeezed_probe_qfi(0.3, 0.8, bath_dim=x)),
     # a given size, eta, n_T and lam are checked before automatic sizing,
@@ -132,6 +137,8 @@ BAD_VALUES = {
     "eta": (math.nan, -0.1, 0.0, 1.5),
     # a non-finite beta makes the integrand NaN, or the search's endpoints infinite
     "real": (math.nan, math.inf, -math.inf),
+    # a joint vector or column matrix is 1-d or 2-d with dim_a * dim_b rows
+    "joint_shape": ((9, 1, 1), (8,), (8, 2), ()),
     # a register below 2 levels is misuse, not a truncation failure
     "dim": (math.nan, 2.5, -1, 0, 1),
     # kappa^(p-1) rounds to 0, and every info_deficit would be inf; a numpy
