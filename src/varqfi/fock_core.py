@@ -5,11 +5,10 @@ thermal truncation rule, photon-number moments, and the beam splitter
 applied to a joint pure-state vector or to a matrix whose columns are joint
 vectors, all mixed in one pass.  Dense numpy throughout; the two-mode
 product dimension is capped at 4096, so no sector block exceeds 64 x 64.
-The beam splitter acts per photon-number sector; each sector block is
-built on first use from an eigenbasis cached per sector shape and shared
-by every transmission, and beam_splitter_apply builds and applies only the
-sectors its input populates.  Only the latest (theta, dim_a, dim_b) table
-of blocks is kept: callers use each table in one contiguous run.
+The beam splitter acts per photon-number sector.  Each sector block is
+built from an eigenbasis cached per sector shape and shared by every
+transmission, and the latest 64 blocks are kept; beam_splitter_apply
+looks up and applies only the sectors its input populates.
 """
 
 from __future__ import annotations
@@ -216,9 +215,10 @@ def _sector_basis(total, lo, hi):
     sqrt(n (total - n + 1)), n = lo+1..hi, on both off-diagonals; it
     depends on the sector's shape alone, so one eigh serves every
     transmission.  Row j of the eigenvectors is multiplied by
-    (-1)^(j // 2), the sign _Sectors needs.  Both arrays are read-only.  One
-    seed-7 oracle pass of the benchmark, with its warm-up, forms 614 shapes
-    and makes 1,559 hits under the 1,024 bound.
+    (-1)^(j // 2), the sign _sector_block needs.  Both arrays are read-only.
+    One oracle pass of the benchmark, with its warm-up, forms 614, 664 and
+    707 shapes and makes 1,559, 1,505 and 1,463 hits at seeds 7, 1 and 11,
+    under the 1,024 bound.
     """
     n = np.arange(lo + 1, hi + 1, dtype=float)
     coup = np.sqrt(n * (total - n + 1.0))
@@ -229,8 +229,9 @@ def _sector_basis(total, lo, hi):
     return vals, vecs
 
 
-class _Sectors(dict):
-    """Sector blocks of the two-mode mixer, each built on first lookup.
+@functools.lru_cache(maxsize=64)
+def _sector_block(theta, dim_a, dim_b, total):
+    """(flat indices, orthogonal block) of the mixer's sector total, both read-only.
 
     The generator theta (a b^dag - a^dag b) conserves the total photon
     number, so on the truncated product space it is block diagonal over
@@ -242,34 +243,28 @@ class _Sectors(dict):
     Re(i^(j-l) sum_m V[j, m] V[l, m] exp(i theta lam_m)): a cosine sum
     where j - l is even, a sine sum where it is odd.  The sign (-1)^(j // 2)
     folded into row j of V absorbs the signs of i^(j-l), all but a minus
-    where j is odd and l even.  sectors[N] is the (flat indices, orthogonal
-    block) pair of sector N, both read-only.
+    where j is odd and l even.
+
+    Keyed on (theta, dim_a, dim_b, total), the latest 64 blocks are kept,
+    twice the most one mixer call reuses from the call before it: 31, in
+    the benchmark's oracle sweep at dim 62 (the even totals 0..60).  One
+    seed-7 oracle pass of the benchmark, with its warm-up, builds 2,173
+    blocks and makes 2,548 hits, the same at bounds 32 to 256 (0 hits at
+    16); fig2 --with-oracle builds 21 and makes 105 hits.  The benchmark
+    empties the cache between passes with cache_clear().
     """
-
-    def __init__(self, theta, dim_a, dim_b):
-        super().__init__()
-        self.theta, self.dim_a, self.dim_b = theta, dim_a, dim_b
-
-    def __missing__(self, total):
-        lo = max(0, total - (self.dim_b - 1))
-        hi = min(total, self.dim_a - 1)
-        ns = np.arange(lo, hi + 1)
-        idx = ns * self.dim_b + (total - ns)
-        vals, vecs = _sector_basis(total, lo, hi)
-        block = (vecs * np.cos(self.theta * vals)) @ vecs.T
-        sin_part = (vecs * np.sin(self.theta * vals)) @ vecs.T
-        block[0::2, 1::2] = sin_part[0::2, 1::2]
-        block[1::2, 0::2] = -sin_part[1::2, 0::2]
-        idx.setflags(write=False)
-        block.setflags(write=False)
-        self[total] = (idx, block)
-        return idx, block
-
-
-# the latest table only: the benchmark's seed-7 oracle items make one call each and
-# use each of their 52 tables in one run (98 hits, 52 misses from 150 calls at 1
-# slot or 32); a fig2 oracle column uses one
-_sectors = functools.lru_cache(maxsize=1)(_Sectors)
+    lo = max(0, total - (dim_b - 1))
+    hi = min(total, dim_a - 1)
+    ns = np.arange(lo, hi + 1)
+    idx = ns * dim_b + (total - ns)
+    vals, vecs = _sector_basis(total, lo, hi)
+    block = (vecs * np.cos(theta * vals)) @ vecs.T
+    sin_part = (vecs * np.sin(theta * vals)) @ vecs.T
+    block[0::2, 1::2] = sin_part[0::2, 1::2]
+    block[1::2, 0::2] = -sin_part[1::2, 0::2]
+    idx.setflags(write=False)
+    block.setflags(write=False)
+    return idx, block
 
 
 def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
@@ -300,11 +295,11 @@ def beam_splitter_apply(theta, joint_vec, dim_a, dim_b):
         raise ValueError(
             "joint_vec must have length dim_a * dim_b, or be a matrix of such columns"
         )
-    sectors = _sectors(float(theta), int(dim_a), int(dim_b))
+    key = float(theta), int(dim_a), int(dim_b)
     flat = np.flatnonzero(vec.reshape(vec.shape[0], -1).any(axis=1))
     out = np.zeros(vec.shape, np.result_type(vec, float))
     for total in np.unique(flat // dim_b + flat % dim_b).tolist():
-        idx, block = sectors[total]
+        idx, block = _sector_block(*key, total)
         out[idx] = block @ vec[idx]
     return out
 

@@ -9,15 +9,15 @@ separate the lossless and lossy scaling regimes.
 
 The beta search calls mse_bound some 66 times with one prior and one OPO
 model, and most of a call's quadrature panels repeat abscissae the call
-before it evaluated.  So _spectra memoizes the beta-independent integrand
-terms, info_deficit and sigma_tilde, in two functools.lru_cache layers: the
-evaluator of the latest (prior, model) only, and in it the read-only terms
-of the latest 256 abscissa arrays, keyed on their float64 bytes.  One call
-evaluates at most about 100 arrays, so on the fig3 row N = 1e8, eta = 0.95,
-0.873 of the lookups hit, against 0.876 with all 545 of the row's kept.  Both
-live as long as the process; _spectra.cache_clear(), which the benchmark
-calls between passes, drops the evaluator with its entries.  A memoized
-term has the bits of a fresh one.
+before it evaluated.  So two functools.lru_cache functions memoize the
+beta-independent integrand terms: _spectra keeps the hoisted info_deficit
+and sigma_tilde evaluators of the latest (prior, model), and _terms their
+read-only values on the latest 256 abscissa arrays, keyed on that pair
+and the arrays' float64 bytes.  One call evaluates at most about 100
+arrays, so on the fig3 row N = 1e8, eta = 0.95, 0.873 of the lookups hit,
+against 0.876 with all 545 of the row's kept.  Both live as long as the
+process; cache_clear() empties either, as the benchmark does between
+passes.  A memoized term has the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -212,28 +212,26 @@ def _cost(sigma, weight2, flat):
 
 @functools.lru_cache(maxsize=1)
 def _spectra(prior, model):
-    """The cache terms(key) -> (info_deficit(omega), sigma_tilde(omega)), read-only.
+    """The hoisted (info_deficit, sigma_tilde) evaluators of the latest (prior, model)."""
+    return prior._deficit(), _sigma(model)
 
-    omega is the float64 array whose bytes are key; see the module notes.
-    """
-    deficit, sigma = prior._deficit(), _sigma(model)
 
-    @functools.lru_cache(maxsize=256)
-    def terms(key):
-        omega = np.frombuffer(key)
-        w2 = np.square(omega)
-        info, sig = deficit(omega, w2), sigma(w2)
-        info.flags.writeable = sig.flags.writeable = False
-        return info, sig
-
-    return terms
+@functools.lru_cache(maxsize=256)
+def _terms(spectra, key):
+    """The pair spectra at the float64 array whose bytes are key, read-only (module notes)."""
+    deficit, sigma = spectra
+    omega = np.frombuffer(key)
+    w2 = np.square(omega)
+    info, sig = deficit(omega, w2), sigma(w2)
+    info.flags.writeable = sig.flags.writeable = False
+    return info, sig
 
 
 def _mse_integrand(spectra, weight2, flat):
     """omega -> 1/(info_deficit(omega) + spectral_cq(omega)), omega a float64 array."""
 
     def integrand(omega):
-        deficit, sigma = spectra(omega.tobytes())
+        deficit, sigma = _terms(spectra, omega.tobytes())
         total = _cost(sigma, weight2, flat)
         total += deficit
         return np.reciprocal(total, out=total)
@@ -244,7 +242,7 @@ def _mse_integrand(spectra, weight2, flat):
 def _positive_knots(prior, model, spectra, split):
     """Frequencies where the MSE integrand changes character."""
     # the cost's plateaus at omega = 0 and omega = inf, where sigma_tilde is 4N
-    plateaus = _cost(spectra(np.array([0.0, math.inf]).tobytes())[1], *split).tolist()
+    plateaus = _cost(_terms(spectra, np.array([0.0, math.inf]).tobytes())[1], *split).tolist()
     knots = [
         (1.0 - model.x) * model.gamma_cavity,
         (1.0 + model.x) * model.gamma_cavity,
@@ -268,7 +266,7 @@ def mse_bound(prior, model, params, rel_tol=1e-10):
     semi-infinite map.
 
     Only weight^2 = (eta + beta(1-eta))^2 and the flat term depend on beta.
-    info_deficit and sigma_tilde come from the cache _spectra(prior, model)
+    info_deficit and sigma_tilde come from the caches _spectra and _terms
     of the module notes.  The integrand forms weight^2 * sigma + flat +
     deficit with the same operations whether its terms are fresh or
     memoized, so the value is bit-identical either way.

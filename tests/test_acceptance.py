@@ -15,20 +15,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from varqfi.bounds import (
     cq_min_loss_diffusion,
     cq_min_loss_thermal,
     exact_qfi_squeezed,
     im_opt_squeezed,
+    phase_variance_bound_full,
     raw_cq_loss_diffusion,
     raw_cq_loss_thermal,
 )
 from varqfi.channels import phase_diffusion, phase_diffusion_by_quadrature
 from varqfi.cli import main as cli_main
-from varqfi.fock_core import DensityMatrix, InputMoments
+from varqfi.fock_core import DensityMatrix, FockVector, InputMoments, moments
 from varqfi.numerics import loglog_slope, maximize_scalar
-from varqfi.qfi_oracle import minimize_raw_cq, squeezed_probe_qfi
+from varqfi.qfi_oracle import minimize_raw_cq, probe_qfi, squeezed_probe_qfi
 from varqfi.waveform import (
     OpoSpectrumModel,
     PriorSpectrum,
@@ -109,6 +111,57 @@ def test_minimized_raw_costs_reach_closed_forms():
         ok,
         "27+27-point grids: thermal %.2e, diffusion %.2e, lossless factor %.2e "
         "(limit 1e-6)" % (worst_thermal, worst_diffusion, worst_factor),
+    )
+
+
+# each bound claims to hold for every probe with the given moments, so no
+# pure probe may pass it; as functions of (moments, eta, n_T, lam)
+_BOUNDS = {
+    "eq15": lambda m, eta, n_T, lam: cq_min_loss_thermal(m, eta, n_T),
+    "eq21": lambda m, eta, n_T, lam: cq_min_loss_diffusion(m, eta, lam),
+    "eq22": lambda m, eta, n_T, lam: 1.0 / phase_variance_bound_full(m, eta, n_T, lam),
+}
+# (bound, probe levels d, eta, n_T, lam)
+_ADVERSARY_SETTINGS = [
+    ("eq15", 4, 0.5, 0.0, 0.0),
+    ("eq15", 4, 0.9, 0.5, 0.0),
+    ("eq22", 4, 0.8, 0.5, 0.2),
+    ("eq22", 5, 1.0, 0.0, 0.3),
+    ("eq22", 5, 0.95, 0.0, 0.3),
+    ("eq21", 4, 0.8, 0.0, 0.2),
+]
+
+
+def test_moment_bounds_resist_an_adversarial_probe():
+    # random probes sit well below the bounds under loss, so a bound a
+    # little too tight passes them; Nelder-Mead over the complex amplitudes
+    # pushes the oracle QFI up against each bound instead
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(0)
+    best = []
+    for name, d, eta, n_T, lam in _ADVERSARY_SETTINGS:
+        bound, ratios = _BOUNDS[name], []
+
+        def neg_ratio(x):
+            psi = FockVector(d, x[:d] + 1j * x[d:])
+            ratios.append(probe_qfi(psi, eta, n_T, lam) / bound(moments(psi), eta, n_T, lam))
+            return -ratios[-1]
+
+        for _ in range(2):
+            minimize(neg_ratio, rng.standard_normal(2 * d), method="Nelder-Mead",
+                     options={"maxfev": 400})
+        best.append(max(ratios))
+    dt = time.perf_counter() - t0
+    ok = max(best) <= 1.0 + 1e-10 and dt < 3.0
+    settings = ", ".join(
+        "%s d=%d eta=%g n_T=%g lam=%g %.6f" % (name, d, eta, n_T, lam, ratio)
+        for (name, d, eta, n_T, lam), ratio in zip(_ADVERSARY_SETTINGS, best)
+    )
+    _verdict(
+        "moment-bounds-adversary",
+        ok,
+        "best oracle/bound ratio per setting (2 Nelder-Mead starts of 400 "
+        "evaluations): %s (limit 1 + 1e-10), %.1f s (limit 3 s)" % (settings, dt),
     )
 
 

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varqfi import fock_core, numerics, qfi_oracle, waveform
+from test_imports import PACKAGE_CACHES
+from varqfi import fock_core, qfi_oracle, waveform
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -85,23 +86,17 @@ def test_tracer_reads_the_arguments_it_expects():
 
 def test_bench_reset_empties_the_spectral_memo():
     # each pass starts cold, as a fresh CLI does, only if reset reaches every
-    # functools cache in src/ (test_imports lists them): the spectral terms'
-    # cache lives in the evaluator _spectra keeps, and goes with it
+    # functools cache in src/, the six test_imports lists
     path = BENCH / "worker.py"
     worker = {"__name__": "bench_worker"}
     exec(compile(path.read_text(), str(path), "exec"), worker)
-    caches = (
-        waveform._spectra,
-        fock_core._sectors,
-        fock_core._sector_basis,
-        numerics._panel_nodes,
-        numerics._tail_map,
-    )
+    caches = [
+        getattr(importlib.import_module("varqfi." + module), name)
+        for module, name in (cache.split(".") for cache in PACKAGE_CACHES)
+    ]
     prior, model = waveform.PriorSpectrum(1.0, 2.0, 1.0), waveform.OpoSpectrumModel(16.0, 2.0)
     waveform.mse_bound(prior, model, waveform.SpectralCqParams(0.95, -3.0), rel_tol=1e-8)
     qfi_oracle.squeezed_probe_qfi(0.3, 0.8)
     assert all(cache.cache_info().currsize > 0 for cache in caches)
-    assert waveform._spectra(prior, model).cache_info().currsize > 0
     worker["reset"](types.SimpleNamespace(warm_up=lambda: None))
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
-    assert waveform._spectra(prior, model).cache_info().currsize == 0

@@ -461,14 +461,14 @@ def test_fig2_oracle_column_and_warning(tmp_path, capsys):
         assert im <= fq * (1.0 + 1e-9) and fq <= cq * (1.0 + 1e-9)
 
 
-def test_fig2_oracle_column_builds_one_sector_table(tmp_path, capsys):
-    # every oracle row shares eta and the register sizes, so the mixer's
-    # one-table cache (fock_core._sectors) serves the whole column
-    fock_core._sectors.cache_clear()
+def test_fig2_oracle_column_builds_each_sector_block_once(tmp_path, capsys):
+    # every oracle row shares eta and the register sizes, so each of the 21
+    # blocks the column populates is built once and found by the 5 rows after
+    fock_core._sector_block.cache_clear()
     code, _, _ = _run(capsys, "fig2", "--with-oracle", "--out", str(tmp_path / "f.csv"))
     assert code == 0
-    info = fock_core._sectors.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
+    info = fock_core._sector_block.cache_info()
+    assert (info.misses, info.hits) == (21, 105)
 
 
 def test_fig2_oracle_in_range_emits_no_warning(tmp_path, capsys):

@@ -219,13 +219,15 @@ def test_beam_splitter_apply_visits_only_populated_sectors(
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
     vec[~populated | (rng.random(da * db) < 0.3)] = 0.0
-    fock_core._sectors.cache_clear()  # each fill order starts cold
+    fock_core._sector_block.cache_clear()  # each fill order starts cold
     if dense_first:  # a full vector builds every sector before vec is applied
         beam_splitter_apply(theta, np.ones(da * db), da, db)
     got = beam_splitter_apply(theta, vec, da, db)
     u = reference.mixer(theta, da, db)
     assert np.max(np.abs(got - u @ vec)) < 1e-12
     assert not np.any(got[~populated])
+    if not dense_first:  # one block built per total vec populates, no other
+        assert fock_core._sector_block.cache_info().misses == len(set(totals[vec != 0.0]))
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.9, 2.5, -1.2])
@@ -249,26 +251,25 @@ def test_full_sector_matches_binomial_amplitudes(theta):
 @settings(max_examples=25, deadline=None)
 @given(theta=st.floats(-math.pi, math.pi))
 def test_blocks_at_the_cap_are_orthogonal(theta):
-    sectors = fock_core._sectors(theta, 64, 64)
     for total in range(127):
-        block = sectors[total][1]
+        block = fock_core._sector_block(theta, 64, 64, total)[1]
         assert np.max(np.abs(block @ block.T - np.eye(len(block)))) < 1e-13
+        assert fock_core._sector_block.cache_info().currsize <= 64
 
 
-def test_sector_table_does_not_depend_on_build_history():
-    # a table built after another transmission's reuses its cached sector
-    # eigenbases, and must equal a table built from empty caches exactly
-    def table(theta):
-        sectors = fock_core._sectors(theta, 12, 9)
-        return [sectors[total][1] for total in range(12 + 9 - 1)]
+def test_sector_blocks_do_not_depend_on_build_history():
+    # blocks built after another transmission's reuse its cached sector
+    # eigenbases, and must equal blocks built from empty caches exactly
+    def blocks(theta):
+        return [fock_core._sector_block(theta, 12, 9, total)[1] for total in range(12 + 9 - 1)]
 
-    fock_core._sectors.cache_clear()
+    fock_core._sector_block.cache_clear()
     fock_core._sector_basis.cache_clear()
-    cold = table(0.7)
-    fock_core._sectors.cache_clear()
+    cold = blocks(0.7)
+    fock_core._sector_block.cache_clear()
     fock_core._sector_basis.cache_clear()
-    table(-2.2)
-    warm = table(0.7)
+    blocks(-2.2)
+    warm = blocks(0.7)
     assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
 
 
@@ -312,12 +313,12 @@ def test_beam_splitter_refuses_a_column_matrix_of_the_wrong_shape(shape):
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_beam_splitter_refuses_a_non_finite_theta_before_any_lookup(theta):
-    # nan returned NaN amplitudes and inf only warned; either left a table
-    # keyed on it in _sectors
-    fock_core._sectors.cache_clear()
+    # nan returned NaN amplitudes and inf only warned; either left blocks
+    # keyed on it in the memo
+    fock_core._sector_block.cache_clear()
     with pytest.raises(ValueError, match="theta must be finite"):
         beam_splitter_apply(theta, np.ones(9), 3, 3)
-    assert fock_core._sectors.cache_info().currsize == 0
+    assert fock_core._sector_block.cache_info().currsize == 0
 
 
 def test_beam_splitter_product_cap():

@@ -5,8 +5,8 @@ importing one may not load the other.  Each module is imported in a fresh
 interpreter and the varqfi modules it loaded are compared with the exact set
 it needs.  The source is also read for imported names that are never used,
 for private names one module imports from another, and for functools
-caches without a fixed bound; the public callables' defaulted parameters
-are pinned.
+caches without a fixed bound or made anywhere but at module level; the
+public callables' defaulted parameters are pinned.
 """
 
 import ast
@@ -104,9 +104,9 @@ def _is_cache(node):
 
 
 def _cached_names(tree):
-    """The name each functools cache made in tree is bound to: a def or an assignment."""
+    """The name each module-level functools cache in tree is bound to: a def or an assignment."""
     names = []
-    for node in ast.walk(tree):
+    for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             names += [node.name for d in node.decorator_list if _is_cache(d)]
         elif isinstance(node, ast.Assign) and _is_cache(node.value):
@@ -114,14 +114,28 @@ def _cached_names(tree):
     return names
 
 
+def _self_filling_classes(tree):
+    """The classes in tree that define __missing__, a dict that fills itself on lookup."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "__missing__" for item in node.body)
+    ]
+
+
 def test_cache_finder_sees_each_form():
     source = (
         "@functools.cache\ndef f(): pass\n@lru_cache\ndef g(): pass\n"
         "h = functools.lru_cache(maxsize=None)(h)\nk = lru_cache(4)(k)\n"
         "@functools.lru_cache(maxsize=0)\ndef m(): pass\n"
+        "def outer():\n    @functools.lru_cache(maxsize=8)\n    def inner(): pass\n"
+        "class T(dict):\n    def __missing__(self, key): pass\n"
     )
-    assert sorted(_cache_sizes(ast.parse(source)), key=str) == [4, None, None, None, None]
-    assert sorted(_cached_names(ast.parse(source))) == ["f", "g", "h", "k", "m"]
+    tree = ast.parse(source)
+    assert sorted(_cache_sizes(tree), key=str) == [4, 8, None, None, None, None]
+    assert sorted(_cached_names(tree)) == ["f", "g", "h", "k", "m"]
+    assert _self_filling_classes(tree) == ["T"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -131,19 +145,29 @@ def test_every_cache_has_a_fixed_bound(path):
     assert None not in _cache_sizes(ast.parse(path.read_text()))
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_a_module_level_function(path):
+    # a cache made inside a function, or a dict that fills itself, is out of
+    # reach of cache_info() and of the bench's reset, which clears what the
+    # module's namespace holds
+    tree = ast.parse(path.read_text())
+    assert len(_cached_names(tree)) == len(_cache_sizes(tree))
+    assert _self_filling_classes(tree) == []
+
+
 PACKAGE_CACHES = [
     "fock_core._sector_basis",
-    "fock_core._sectors",
+    "fock_core._sector_block",
     "numerics._panel_nodes",
     "numerics._tail_map",
     "waveform._spectra",
-    "waveform.terms",  # the evaluator _spectra returns, one per (prior, model)
+    "waveform._terms",
 ]
 
 
 def test_the_package_caches_are_found():
     # the caches test_bench_imports has the bench's reset empty; a finder
-    # that sees none would pass the test above everywhere
+    # that sees none would pass the tests above everywhere
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
     found = sorted(f"{stem}.{name}" for stem, tree in trees.items() for name in _cached_names(tree))
     assert found == PACKAGE_CACHES

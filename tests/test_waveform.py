@@ -24,10 +24,7 @@ from varqfi.waveform import (
     sigma_tilde,
     spectral_cq,
 )
-from varqfi.waveform import _loss_split, _mse_integrand
-
-# a new evaluator of one (prior, model), with an empty cache of its own
-_new_spectra = waveform._spectra.__wrapped__
+from varqfi.waveform import _loss_split, _mse_integrand, _spectra, _terms
 
 
 def test_prior_spectrum_validation():
@@ -262,8 +259,9 @@ def test_hoisted_integrand_is_bit_identical(kappa, p, lambda_c, r_plus, flux, et
     params = SpectralCqParams(eta, beta)
     # eta and beta near 0 shrink the cost to 0 or a subnormal, where 1/cost is
     # +inf on every route
+    _terms.cache_clear()  # got from fresh terms, memoized from the memo
     with np.errstate(divide="ignore", over="ignore"):
-        integrand = _mse_integrand(_new_spectra(prior, model), *_loss_split(model, params))
+        integrand = _mse_integrand(_spectra(prior, model), *_loss_split(model, params))
         got = integrand(omega)
         want = 1.0 / (prior.info_deficit(omega) + spectral_cq(omega, model, params))
         written_out = _unhoisted_integrand(prior, model, params, omega)
@@ -299,38 +297,24 @@ def test_memo_gives_the_same_bits_cold_and_warm(
         cold[beta] = bound(beta)
     _clear_caches()
     warm = {beta: bound(beta) for beta in data.draw(st.permutations(betas))}
-    assert waveform._spectra(prior, model).cache_info().hits > 0
+    assert _terms.cache_info().hits > 0
     assert numerics._panel_nodes.cache_info().hits > 0
     assert warm == cold
 
 
 def _clear_caches():
-    for cache in (waveform._spectra, numerics._tail_map, numerics._panel_nodes):
+    for cache in (_spectra, _terms, numerics._tail_map, numerics._panel_nodes):
         cache.cache_clear()
 
 
-def _spectra_of_bound(cap):
-    """waveform._spectra with an inner LRU of cap arrays in place of its own."""
-
-    @functools.lru_cache(maxsize=1)
-    def spectra(prior, model):
-        return functools.lru_cache(maxsize=cap)(_new_spectra(prior, model).__wrapped__)
-
-    return spectra
-
-
-def _lru_in_place_of(patch, name, cap, prior, model):
+def _lru_in_place_of(patch, module, name, cap):
     """Patch an LRU of cap entries around the function behind the beta-search cache name."""
-    if name == "terms":
-        spectra = _spectra_of_bound(cap)
-        patch.setattr(waveform, "_spectra", spectra)
-        return spectra(prior, model)
-    cache = functools.lru_cache(maxsize=cap)(getattr(numerics, name).__wrapped__)
-    patch.setattr(numerics, name, cache)
+    cache = functools.lru_cache(maxsize=cap)(getattr(module, name).__wrapped__)
+    patch.setattr(module, name, cache)
     return cache
 
 
-def _assert_memo_holds_at_most(name, cap):
+def _assert_memo_holds_at_most(module, name, cap):
     # an LRU of any bound around the function behind the beta-search cache
     # name gives its bits, and fills to min(cap, the keys the calls form)
     prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * 1e4 ** (1.0 / 3.0), 1e4)
@@ -338,12 +322,12 @@ def _assert_memo_holds_at_most(name, cap):
     _clear_caches()
     want = [mse_bound(prior, model, q) for q in params]
     with pytest.MonkeyPatch.context() as patch:
-        every = _lru_in_place_of(patch, name, None, prior, model)
+        every = _lru_in_place_of(patch, module, name, None)
         assert [mse_bound(prior, model, q) for q in params] == want
     keys = every.cache_info().currsize
     assert keys > 7
     with pytest.MonkeyPatch.context() as patch:
-        cache = _lru_in_place_of(patch, name, cap, prior, model)
+        cache = _lru_in_place_of(patch, module, name, cap)
         for q, value in zip(params, want):
             assert mse_bound(prior, model, q) == value
             assert cache.cache_info().currsize <= cap
@@ -353,25 +337,25 @@ def _assert_memo_holds_at_most(name, cap):
 
 @pytest.mark.parametrize("cap", [1, 7, 10_000])
 def test_memo_never_holds_more_than_its_cap(cap):
-    _assert_memo_holds_at_most("terms", cap)
+    _assert_memo_holds_at_most(waveform, "_terms", cap)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 10_000])
 def test_tail_memo_never_holds_more_than_its_cap(cap):
-    _assert_memo_holds_at_most("_tail_map", cap)
+    _assert_memo_holds_at_most(numerics, "_tail_map", cap)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 10_000])
 def test_panel_node_memo_never_holds_more_than_its_cap(cap):
-    _assert_memo_holds_at_most("_panel_nodes", cap)
+    _assert_memo_holds_at_most(numerics, "_panel_nodes", cap)
 
 
 def _fig3_row(flux):
-    """Run one lossy fig3 row from cold caches; its model and the evaluator it used."""
+    """Run one lossy fig3 row from cold caches; its model."""
     prior, model = PriorSpectrum(1.0, 2.0, 1.0), OpoSpectrumModel(16.0 * flux ** (1.0 / 3.0), flux)
     _clear_caches()
     mse_bound_optimized(prior, model, 0.95, rel_tol=1e-8)
-    return model, waveform._spectra(prior, model)
+    return model
 
 
 def test_memo_of_a_beta_search_stays_below_its_cap():
@@ -379,15 +363,14 @@ def test_memo_of_a_beta_search_stays_below_its_cap():
     # cache.  A call finds what the call before it formed only if one call's
     # keys fit in each LRU; the tail cache holds the whole search, and the
     # node and spectral caches fill their bounds (543 panels, 558 arrays)
-    model, spectra = _fig3_row(1e8)
+    model = _fig3_row(1e8)
     info = numerics._tail_map.cache_info()
     assert 0 < info.currsize < info.maxsize
-    for cache in (numerics._panel_nodes, spectra):
+    for cache in (numerics._panel_nodes, _terms):
         assert cache.cache_info().currsize == cache.cache_info().maxsize
     _clear_caches()
     mse_bound(PriorSpectrum(1.0, 2.0, 1.0), model, SpectralCqParams(0.95, -3.0), rel_tol=1e-8)
-    spectra = waveform._spectra(PriorSpectrum(1.0, 2.0, 1.0), model)
-    for cache in (spectra, numerics._tail_map, numerics._panel_nodes):
+    for cache in (_terms, numerics._tail_map, numerics._panel_nodes):
         info = cache.cache_info()
         assert 0 < 2 * info.currsize < info.maxsize
 
@@ -401,18 +384,18 @@ def test_each_cache_pays_on_a_beta_search():
     # measured on this row: nodes 0.872, spectral terms 0.873, tail 0.985; a
     # key that includes beta, or a bound below one call's arrays (67 spectral,
     # 49 tail, 65 nodes here), drops a share far below its floor
-    _, spectra = _fig3_row(1e8)
+    _fig3_row(1e8)
     assert _hit_share(numerics._panel_nodes) >= 0.8
-    assert _hit_share(spectra) >= 0.8
+    assert _hit_share(_terms) >= 0.8
     assert _hit_share(numerics._tail_map) >= 0.95
 
 
 def test_memoized_terms_are_read_only():
-    spectra = _new_spectra(PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0))
+    spectra = _spectra(PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0))
     omega = np.linspace(0.0, 50.0, 15)
-    terms = spectra(omega.tobytes())
-    assert spectra(omega.copy().tobytes()) is terms
-    for got, want in zip(terms, spectra.__wrapped__(omega.tobytes())):
+    terms = _terms(spectra, omega.tobytes())
+    assert _terms(spectra, omega.copy().tobytes()) is terms
+    for got, want in zip(terms, _terms.__wrapped__(spectra, omega.tobytes())):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
         with pytest.raises(ValueError):
@@ -422,21 +405,24 @@ def test_memoized_terms_are_read_only():
 @pytest.mark.parametrize("node", range(15))
 def test_memo_tells_apart_abscissae_one_ulp_apart(node):
     prior, model = PriorSpectrum(1.0, 3.0), OpoSpectrumModel(16.0, 2.0)
-    spectra = _new_spectra(prior, model)
+    spectra = _spectra(prior, model)
     omega = np.linspace(0.0, 50.0, 15)
     t = np.linspace(0.0, 0.9, 15)
+    _terms.cache_clear()
     numerics._tail_map.cache_clear()
-    spectra(omega.tobytes())
+    _terms(spectra, omega.tobytes())
     numerics._tail_map(2.0, t.tobytes())
     omega[node] = np.nextafter(omega[node], 100.0)
     t[node] = np.nextafter(t[node], 1.0)
-    for got, want in zip(spectra(omega.tobytes()), spectra.__wrapped__(omega.tobytes())):
+    for got, want in zip(
+        _terms(spectra, omega.tobytes()), _terms.__wrapped__(spectra, omega.tobytes())
+    ):
         assert np.array_equal(got, want)
     for got, want in zip(
         numerics._tail_map(2.0, t.tobytes()), numerics._tail_map.__wrapped__(2.0, t.tobytes())
     ):
         assert np.array_equal(got, want)
-    for cache in (spectra, numerics._tail_map):
+    for cache in (_terms, numerics._tail_map):
         assert cache.cache_info().hits == 0 and cache.cache_info().currsize == 2
 
 
@@ -462,7 +448,7 @@ def test_tail_map_is_bit_identical(p, beta, a, t):
     split = _loss_split(model, SpectralCqParams(0.95, beta))
     for prior in (PriorSpectrum(1.0, 2.0, 1.0), PriorSpectrum(1.0, p)):
         # the tail map's call finds the abscissae written_out evaluated in the memo
-        f = _mse_integrand(_new_spectra(prior, model), *split)
+        f = _mse_integrand(_spectra(prior, model), *split)
         comp = np.maximum(1.0 - t, 1e-17)
         written_out = np.asarray(f(a + t / comp)).reshape(t.shape) / (comp * comp)
         given_t = t.copy()
